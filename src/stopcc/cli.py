@@ -31,7 +31,10 @@ EXIT_IO = 4
 def _default_threads():
     env = os.environ.get("STOPCC_THREADS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"STOPCC_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -239,14 +242,16 @@ def cmd_concentration(args):
     started = time.time()
     g, _, descriptor = _build_instance(args)
     beta = g.edge_count / g.n
-    alpha = float(Fraction(args.alpha))
+    # the exact fraction sets the prefix length; floats serve the threshold
+    alpha_exact = Fraction(args.alpha)
+    alpha = float(alpha_exact)
     eps = float(Fraction(args.epsilon))
     threshold = (alpha - alpha**2 * beta) * g.n + 0.3 * eps * g.n
     cfg = montecarlo.EstimatorConfig(
         replications=args.reps, seed=args.seed, ci_level=args.ci_level,
         threads=args.threads,
     )
-    est = montecarlo.estimate_tail(g, alpha, threshold, cfg)
+    est = montecarlo.estimate_tail(g, alpha_exact, threshold, cfg)
     report = {
         "tool": "stopcc",
         "version": __version__,
@@ -358,9 +363,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ResourceLimitError as e:
         print(f"stopcc: resource cap exceeded: {e}", file=sys.stderr)

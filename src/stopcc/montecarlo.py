@@ -18,9 +18,6 @@ from . import strategies
 from .activation import component_count_trace
 from .errors import ParameterError
 
-BLIND_KINDS = strategies.BLIND_KINDS
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     replications: int
@@ -78,14 +75,14 @@ def _summarize(scores, cfg, zero_hit_upper=None):
 
 
 def _run_indexed(cfg, worker):
-    """Fill scores[i] = worker(i) for every replication, possibly on a thread
-    pool; the output is ordered by replication index, never by completion."""
+    """Return the array of worker(i) over every replication, possibly computed
+    on a thread pool; rows follow the replication index, never completion."""
     reps = cfg.replications
-    scores = np.empty(reps, dtype=np.float64)
+    results = [None] * reps
 
     def fill(lo, hi):
         for i in range(lo, hi):
-            scores[i] = worker(i)
+            results[i] = worker(i)
 
     if cfg.threads <= 1:
         fill(0, reps)
@@ -94,44 +91,13 @@ def _run_indexed(cfg, worker):
         bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             list(pool.map(lambda b: fill(*b), bounds))
-    return scores
-
-
-def _blind_stop_count(spec, n):
-    if spec.kind == "blind_threshold":
-        return min(spec.l, n)
-    return math.ceil(spec.alpha * n)
-
-
-def _cc_after_prefix(graph, prefix):
-    """Component count once exactly the prefix vertices are active."""
-    adj = graph.adj
-    parent = list(range(graph.n))
-    active = bytearray(graph.n)
-    cc = 0
-    for v in prefix:
-        active[v] = 1
-        cc += 1
-        for w in adj[v]:
-            if active[w]:
-                r = w
-                while parent[r] != r:
-                    parent[r] = parent[parent[r]]
-                    r = parent[r]
-                rv = v
-                while parent[rv] != rv:
-                    parent[rv] = parent[parent[rv]]
-                    rv = parent[rv]
-                if r != rv:
-                    parent[r] = rv
-                    cc -= 1
-    return cc
+    return np.array(results, dtype=np.float64)
 
 
 def _score_one(graph, seq, spec, sigma):
-    if spec.kind in BLIND_KINDS:
-        l = _blind_stop_count(spec, graph.n)
-        return _cc_after_prefix(graph, sigma[:l])
+    if spec.is_blind():
+        l = strategies.blind_stop_count(spec, graph.n)
+        return component_count_trace(graph, sigma[:l])[-1]
     _, score = strategies.run_strategy(graph, seq, spec, list(sigma))
     return score
 
@@ -148,32 +114,15 @@ def estimate_strategy(graph, seq, spec, cfg):
 
 
 def estimate_tail(graph, alpha, threshold, cfg):
-    """Empirical P(CC(G[ceil(alpha n)]) > threshold) with CI.
-
-    Forests use the components = vertices - edges identity, vectorized;
-    other graphs fall back to incremental union-find.
-    """
+    """Empirical P(CC(G[ceil(alpha n)]) > threshold) with CI."""
     if not 0 <= alpha <= 1:
         raise ParameterError("alpha must lie in [0,1]")
     n = graph.n
-    t = math.ceil(alpha * n)
-    if graph.is_forest() and graph.edge_count > 0:
-        edge_arr = np.array(graph.edges(), dtype=np.int64)
-        eu, ev = edge_arr[:, 0], edge_arr[:, 1]
+    t = strategies.stop_count(alpha, n)
 
-        def worker(i):
-            prefix = replication_permutation(cfg.seed, i, n)[:t]
-            active = np.zeros(n, dtype=bool)
-            active[prefix] = True
-            cc = t - int(np.count_nonzero(active[eu] & active[ev]))
-            return 1.0 if cc > threshold else 0.0
-
-    else:
-
-        def worker(i):
-            prefix = replication_permutation(cfg.seed, i, n)[:t]
-            cc = _cc_after_prefix(graph, prefix)
-            return 1.0 if cc > threshold else 0.0
+    def worker(i):
+        prefix = replication_permutation(cfg.seed, i, n)[:t]
+        return 1.0 if component_count_trace(graph, prefix)[-1] > threshold else 0.0
 
     hits = _run_indexed(cfg, worker)
     zero_upper = None
@@ -191,23 +140,12 @@ def compare_strategies(graph, seq, specs, cfg):
     """
     if len(specs) < 2:
         raise ParameterError("need at least two strategies to compare")
-    reps = cfg.replications
-    scores = np.empty((len(specs), reps), dtype=np.float64)
 
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            sigma = replication_permutation(cfg.seed, i, graph.n)
-            for s, spec in enumerate(specs):
-                scores[s, i] = _score_one(graph, seq, spec, sigma)
+    def worker(i):
+        sigma = replication_permutation(cfg.seed, i, graph.n)
+        return [_score_one(graph, seq, spec, sigma) for spec in specs]
 
-    if cfg.threads <= 1:
-        fill(0, reps)
-    else:
-        chunk = max(1, math.ceil(reps / cfg.threads))
-        bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
-
+    scores = _run_indexed(cfg, worker).T  # row s: the scores of specs[s]
     estimates = [_summarize(scores[s], cfg) for s in range(len(specs))]
     diffs = {}
     for a in range(len(specs)):

@@ -69,7 +69,7 @@ class StrategySpec:
             trig = (
                 "initial_clique"
                 if self.trigger == "initial_clique"
-                else ",".join(str(v) for v in sorted(self.trigger))
+                else "|".join(str(v) for v in sorted(self.trigger))
             )
             return f"twophase:alpha={self.alpha},gamma={self.gamma},trigger={trig}"
         if self.kind == "dp_optimal":
@@ -111,9 +111,20 @@ def fixed_permutation_oracle(stop_time):
     return StrategySpec("fixed_permutation_oracle", stop_time=stop_time)
 
 
-def _threshold(alpha, n):
-    # the paper writes alpha*n assuming divisibility; ceiling keeps t >= 1
+def stop_count(alpha, n):
+    """Arrivals after which a fraction-alpha rule stops: ceil(alpha n).
+
+    The paper writes alpha*n assuming divisibility; the ceiling keeps t >= 1.
+    Pass alpha as a Fraction to keep it exact: ceil(0.07 * 100) is 8.
+    """
     return math.ceil(alpha * n)
+
+
+def blind_stop_count(spec, n):
+    """Arrivals after which a blind rule stops on n vertices."""
+    if spec.kind == "blind_threshold":
+        return min(spec.l, n)
+    return stop_count(spec.alpha, n)
 
 
 def _trigger_set(spec, seq):
@@ -137,22 +148,20 @@ def decide(spec, view, seq=None):
     if t >= n:
         return STOP
 
-    if spec.kind == "blind_threshold":
-        return STOP if t >= spec.l else CONTINUE
-    if spec.kind == "blind_fraction":
-        return STOP if t >= _threshold(spec.alpha, n) else CONTINUE
+    if spec.is_blind():
+        return STOP if t >= blind_stop_count(spec, n) else CONTINUE
     if spec.kind == "greedy_gain":
         gain = view.state.expected_gain()
         if spec.strict_gain:
             return CONTINUE if gain > 0 else STOP
         return CONTINUE if gain >= 0 else STOP
     if spec.kind == "two_phase":
-        t_alpha = _threshold(spec.alpha, n)
+        t_alpha = stop_count(spec.alpha, n)
         if t < t_alpha:
             return CONTINUE
         trigger = _trigger_set(spec, seq)
         hit = any(view.state.active[v] for v in trigger)
-        if hit and t < _threshold(spec.gamma, n):
+        if hit and t < stop_count(spec.gamma, n):
             return CONTINUE
         return STOP
     if spec.kind == "dp_optimal":

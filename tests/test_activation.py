@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from stopcc import graphs
+from stopcc import exact, graphs
 from stopcc.activation import (
     ActivationState,
     check_permutation,
@@ -124,14 +124,28 @@ def test_wv_invariant_on_random_sequences():
 
 def test_fast_trace_matches_full_engine():
     rng = random.Random(3)
+    cases = [Graph.from_edges(0, []), Graph.from_edges(1, []),
+             Graph.from_edges(6, [])]
     for _ in range(20):
+        cases.append(_random_graph(rng, rng.randrange(2, 20)))
+    for _ in range(10):
         n = rng.randrange(2, 20)
-        g = _random_graph(rng, n)
+        tree, _ = graphs.gen_named_family("random_tree", {"n": n, "seed": n})
+        # a sparser forest: a random subset of the tree's edges
+        forest = Graph.from_edges(n, [e for e in tree.edges() if rng.random() < 0.5])
+        cases += [tree, forest]
+    for g in cases:
+        n = g.n
         sigma = list(range(n))
         rng.shuffle(sigma)
-        fast = component_count_trace(g, sigma)
         full = [s.cc for s in run_permutation(g, None, sigma)]
-        assert fast == full
+        assert component_count_trace(g, sigma) == full
+        # a prefix of a permutation gives the same trace, cut at its length
+        l = rng.randrange(n + 1)
+        prefix = component_count_trace(g, sigma[:l])
+        assert prefix == full[: l + 1]
+        mask = sum(1 << v for v in sigma[:l])
+        assert prefix[-1] == exact.cc_of_mask(exact._adjacency_masks(g), mask)
 
 
 def test_large_graph_skips_mask_but_keeps_counts():

@@ -147,6 +147,19 @@ def test_concentration_report(capsys):
     assert 0.0 <= report["tail_estimate"]["mean"] <= 1.0
 
 
+def test_concentration_prefix_length_is_exact(capsys):
+    # ceil(0.07 * 100) is 8 in floats; a 7-vertex prefix never has more
+    # than 7 components, below the threshold 7.11
+    for alpha in ("7/100", "0.07"):
+        code, out, _ = _run(capsys, "concentration", "--family", "path",
+                            "--n", "100", "--alpha", alpha, "--epsilon", "1/50",
+                            "--reps", "200", "--threads", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["threshold"] == pytest.approx(7.1149)
+        assert report["tail_estimate"]["mean"] == 0.0
+
+
 def test_metagame_mt_argmax(capsys):
     code, out, _ = _run(capsys, "metagame", "mt-argmax", "--k", "3")
     assert code == 0
@@ -169,3 +182,10 @@ def test_thread_default_honors_environment(monkeypatch):
     args = parser.parse_args(["run", "--family", "path", "--n", "3",
                               "--strategy", "greedy", "--mode", "mc"])
     assert args.threads == 5
+
+
+def test_bad_thread_environment_exits_usage(monkeypatch, capsys):
+    monkeypatch.setenv("STOPCC_THREADS", "abc")
+    code, _, err = _run(capsys, "metagame", "mt-argmax", "--k", "2")
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("stopcc:") and "STOPCC_THREADS" in err

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stopcc import exact, graphs, montecarlo, strategies
+from stopcc import graphs, strategies
+from stopcc.activation import ActivationState
 from stopcc.errors import ParameterError
 from stopcc.graphs import Graph
 from stopcc.montecarlo import (
@@ -79,10 +80,12 @@ def test_estimate_tail_forest_path_agrees_with_generic():
     t = math.ceil(0.4 * 25)
     hits = []
     for i in range(400):
-        prefix = replication_permutation(9, i, 25)[:t]
-        hits.append(1.0 if montecarlo._cc_after_prefix(tree, prefix) > 6 else 0.0)
+        state = ActivationState(tree)
+        for v in replication_permutation(9, i, 25)[:t]:
+            state.activate(int(v))
+        hits.append(1.0 if state.cc > 6 else 0.0)
     assert est.mean == np.mean(hits)
-    # non-forest branch simply runs
+    # a graph with a cycle goes through the spanning-forest merge times
     est2 = estimate_tail(cycle, alpha=1.0, threshold=0, cfg=cfg)
     assert est2.mean == 1.0
     with pytest.raises(ParameterError):

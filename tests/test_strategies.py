@@ -145,11 +145,13 @@ def test_parse_strategy_roundtrip():
         "twophase:alpha=1/3,gamma=1/2,trigger=initial_clique":
             "twophase:alpha=1/3,gamma=1/2,trigger=initial_clique",
         "twophase:alpha=1/3,gamma=1/2,trigger=0|1":
-            "twophase:alpha=1/3,gamma=1/2,trigger=0,1",
+            "twophase:alpha=1/3,gamma=1/2,trigger=0|1",
         "dp": "dp",
     }
     for text, described in cases.items():
-        assert parse_strategy(text).describe() == described
+        spec = parse_strategy(text)
+        assert spec.describe() == described
+        assert parse_strategy(described) == spec
 
 
 def test_parse_strategy_errors():
