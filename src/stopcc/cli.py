@@ -35,7 +35,8 @@ def _default_threads():
             return int(env)
         except ValueError:
             raise UsageError(f"STOPCC_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    # the pool runs pure-Python workers under the GIL, so one thread is fastest
+    return 1
 
 
 def _rational(value):
@@ -178,11 +179,11 @@ def cmd_run(args):
             )
         for text, spec in zip(args.strategy, specs):
             if spec.kind == "dp_optimal" and spec.table is None:
-                spec = strategies.dp_optimal(solve_table(g, exact_mode=True))
+                spec = strategies.dp_optimal(exact.solve_dp(g, exact=True))
             value = exact.brute_force_strategy_value(g, seq, spec)
             results.append({"strategy": text, "mode": "exact", **_rational(value)})
     elif args.mode == "dp":
-        table = solve_table(g, exact_mode=g.n <= exact.DP_EXACT_CAP)
+        table = exact.solve_dp(g, exact=g.n <= exact.DP_EXACT_CAP)
         value = table.root_value
         results.append(
             {
@@ -201,7 +202,7 @@ def cmd_run(args):
         )
         for text, spec in zip(args.strategy, specs):
             if spec.kind == "dp_optimal" and spec.table is None:
-                spec = strategies.dp_optimal(solve_table(g, exact_mode=False))
+                spec = strategies.dp_optimal(exact.solve_dp(g, exact=False))
             est = montecarlo.estimate_strategy(g, seq, spec, cfg)
             results.append(
                 {
@@ -232,10 +233,6 @@ def cmd_run(args):
     }
     _emit(report, args.out)
     return 0
-
-
-def solve_table(g, exact_mode):
-    return exact.solve_dp(g, exact=exact_mode)
 
 
 def cmd_concentration(args):

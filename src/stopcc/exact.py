@@ -1,9 +1,10 @@
 """Closed-form expectations, exhaustive brute-force oracles, and the
 backward-induction optimal value for the full-information game.
 
-Everything that can be exact is exact (integer/Fraction arithmetic); the
-subset DP additionally has a double-precision tier for n up to 24, with the
-exact tier (n <= 12) serving as its cross-check.
+Everything that can be exact is exact (integer/Fraction arithmetic).  The
+subset DP is one layer sweep with two tiers: the exact tier (n <= 12) keeps
+the integers W(S) = V(S)*(n-|S|)! and returns V as Fractions; the float tier
+(n <= 24) keeps V in double precision, with the exact tier as its cross-check.
 """
 
 from __future__ import annotations
@@ -114,16 +115,21 @@ class ValueTable:
     """Backward-induction values V(S) for every active-set bitmask.
 
     V(full) = CC(full); V(S) = max(CC(S), mean over v not in S of V(S+v)).
-    stop[S] marks subsets where stopping is optimal (ties stop).
+    stop[S] marks subsets where stopping is optimal (ties stop).  The float
+    tier stores V(S) as float64.  The exact tier stores the int64
+    W(S) = V(S)*(n-|S|)!, and value() returns V(S) as a Fraction.
     """
 
     n: int
-    values: object  # np.ndarray (float tier) or list of Fraction (exact tier)
-    stop: object  # np.ndarray of bool, or list of bool
-    component_counts: object
+    values: np.ndarray
+    stop: np.ndarray
+    component_counts: np.ndarray
     exact: bool
 
     def value(self, mask):
+        if self.exact:
+            remaining = self.n - int(mask).bit_count()
+            return Fraction(int(self.values[mask]), math.factorial(remaining))
         return self.values[mask]
 
     def should_stop(self, mask):
@@ -131,11 +137,11 @@ class ValueTable:
 
     @property
     def root_value(self):
-        return self.values[0]
+        return self.value(0)
 
     def export(self, stream):
         for mask in range(1 << self.n):
-            stream.write(f"{mask} {self.values[mask]} {int(self.stop[mask])}\n")
+            stream.write(f"{mask} {self.value(mask)} {int(self.stop[mask])}\n")
 
 
 def _popcounts(size):
@@ -149,8 +155,9 @@ def _popcounts(size):
     return pc
 
 
-def _component_counts_float(graph):
-    """int array of CC over all 2^n subsets (vectorized for forests)."""
+def _component_counts(graph):
+    """int64 CC of every subset bitmask: vertices minus induced edges on a
+    forest (vectorized), cc_of_mask flood fill otherwise."""
     n = graph.n
     size = 1 << n
     pc = _popcounts(size)
@@ -179,65 +186,38 @@ def solve_dp(graph, exact=False):
         raise ResourceLimitError(
             f"exact-rational DP capped at n={DP_EXACT_CAP}, got n={n}"
         )
-    return _solve_dp_exact(graph) if exact else _solve_dp_float(graph)
+    return _solve_dp(graph, exact)
 
 
-def _solve_dp_float(graph):
+def _solve_dp(graph, exact_tier):
     n = graph.n
     size = 1 << n
-    cc = _component_counts_float(graph)
+    cc = _component_counts(graph)
     pc = _popcounts(size)
     order = np.argsort(pc, kind="stable")
     offsets = np.searchsorted(pc[order], np.arange(n + 2))
-    values = np.zeros(size, dtype=np.float64)
+    # exact tier: W(S) <= n*(n-|S|)! <= n*n! < 2**63 for n <= 19, so int64
+    # is exact under DP_EXACT_CAP
+    values = np.zeros(size, dtype=np.int64 if exact_tier else np.float64)
     stop = np.zeros(size, dtype=bool)
     full = size - 1
     values[full] = cc[full]
     stop[full] = True
-    ccf = cc.astype(np.float64)
+    tol = 0 if exact_tier else DP_TIE_TOL
     for t in range(n - 1, -1, -1):
         layer = order[offsets[t]: offsets[t + 1]]
-        acc = np.zeros(len(layer), dtype=np.float64)
+        acc = np.zeros(len(layer), dtype=values.dtype)
         for b in range(n):
             bit = np.uint32(1 << b)
             absent = (layer & bit) == 0
             acc[absent] += values[layer[absent] | bit]
-        cont = acc / (n - t)
-        here = ccf[layer]
+        if exact_tier:
+            here, cont = cc[layer] * math.factorial(n - t), acc
+        else:
+            here, cont = cc[layer], acc / (n - t)
         values[layer] = np.maximum(here, cont)
-        stop[layer] = here >= cont - DP_TIE_TOL
-    return ValueTable(n, values, stop, cc, exact=False)
-
-
-def _solve_dp_exact(graph):
-    n = graph.n
-    size = 1 << n
-    adj_masks = _adjacency_masks(graph)
-    cc = [0] * size
-    for mask in range(1, size):
-        cc[mask] = cc_of_mask(adj_masks, mask)
-    values = [Fraction(0)] * size
-    stop = [False] * size
-    full = size - 1
-    values[full] = Fraction(cc[full])
-    stop[full] = True
-    by_pc = [[] for _ in range(n + 1)]
-    for mask in range(size):
-        by_pc[mask.bit_count()].append(mask)
-    for t in range(n - 1, -1, -1):
-        for mask in by_pc[t]:
-            total = Fraction(0)
-            for b in range(n):
-                if not mask & (1 << b):
-                    total += values[mask | (1 << b)]
-            cont = total / (n - t)
-            here = Fraction(cc[mask])
-            if here >= cont:
-                values[mask] = here
-                stop[mask] = True
-            else:
-                values[mask] = cont
-    return ValueTable(n, values, stop, cc, exact=True)
+        stop[layer] = here >= cont - tol
+    return ValueTable(n, values, stop, cc, exact=exact_tier)
 
 
 def brute_force_strategy_value(graph, seq, spec):

@@ -30,6 +30,8 @@ class EstimatorConfig:
             raise ParameterError("replications must be >= 1")
         if not 0 < self.ci_level < 1:
             raise ParameterError("ci_level must lie in (0,1)")
+        if self.threads < 1:
+            raise ParameterError("threads must be >= 1")
 
 
 @dataclass(frozen=True)

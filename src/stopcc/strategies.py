@@ -100,6 +100,8 @@ def two_phase(alpha, gamma, trigger):
         raise ParameterError("two_phase needs 0 <= alpha <= gamma <= 1")
     if trigger != "initial_clique":
         trigger = frozenset(trigger)
+        if not trigger:
+            raise ParameterError("two_phase needs at least one trigger vertex")
     return StrategySpec("two_phase", alpha=alpha, gamma=gamma, trigger=trigger)
 
 
@@ -251,6 +253,13 @@ def _parse_fraction(text):
         raise ParameterError(f"cannot parse fraction {text!r}") from None
 
 
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"cannot parse integer {text!r}") from None
+
+
 def parse_strategy(text):
     """Parse specs like blind:l=42, blind:alpha=1/3, greedy, dp,
     twophase:alpha=1/3,gamma=1/2,trigger=initial_clique (or trigger=0|1)."""
@@ -268,7 +277,7 @@ def parse_strategy(text):
             args[key] = value
     if head == "blind":
         if "l" in args:
-            return blind_threshold(int(args["l"]))
+            return blind_threshold(_parse_int(args["l"]))
         if "alpha" in args:
             return blind_fraction(_parse_fraction(args["alpha"]))
         raise ParameterError("blind strategy needs l=<int> or alpha=<fraction>")
@@ -280,7 +289,7 @@ def parse_strategy(text):
         except KeyError as e:
             raise ParameterError(f"twophase missing argument {e}") from None
         if trig != "initial_clique":
-            trig = frozenset(int(x) for x in trig.split("|"))
+            trig = frozenset(_parse_int(x) for x in trig.split("|"))
         return two_phase(alpha, gamma, trig)
     if head == "dp":
         return StrategySpec("dp_optimal")

@@ -177,11 +177,19 @@ def test_bad_strategy_text_exits_usage(capsys):
 
 
 def test_thread_default_honors_environment(monkeypatch):
+    argv = ["run", "--family", "path", "--n", "3", "--strategy", "greedy",
+            "--mode", "mc"]
+    monkeypatch.delenv("STOPCC_THREADS", raising=False)
+    assert cli.build_parser().parse_args(argv).threads == 1
     monkeypatch.setenv("STOPCC_THREADS", "5")
-    parser = cli.build_parser()
-    args = parser.parse_args(["run", "--family", "path", "--n", "3",
-                              "--strategy", "greedy", "--mode", "mc"])
-    assert args.threads == 5
+    assert cli.build_parser().parse_args(argv).threads == 5
+
+
+def test_zero_threads_exits_usage(capsys):
+    code, _, err = _run(capsys, "run", "--family", "path", "--n", "4",
+                        "--strategy", "greedy", "--mode", "mc", "--reps", "2",
+                        "--threads", "0")
+    assert code == cli.EXIT_USAGE and "threads" in err
 
 
 def test_bad_thread_environment_exits_usage(monkeypatch, capsys):

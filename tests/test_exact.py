@@ -4,6 +4,7 @@ import io
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stopcc import exact, graphs, strategies
@@ -80,16 +81,52 @@ def test_solve_dp_path3_by_hand():
     assert table.value(0b101) == Fraction(2)
 
 
+def test_component_count_table_matches_flood_fill():
+    rng = random.Random(11)
+    forests = [Graph.from_edges(0, []), Graph.from_edges(1, []),
+               Graph.from_edges(7, [])]
+    cyclic = []
+    for _ in range(6):
+        n = rng.randrange(3, 11)
+        tree, _ = graphs.gen_named_family("random_tree", {"n": n, "seed": rng.random()})
+        forests.append(tree)
+        forests.append(Graph.from_edges(n, [e for e in tree.edges() if rng.random() < 0.6]))
+        triangle = [(0, 1), (0, 2), (1, 2)]
+        extra = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (u, v) not in triangle and rng.random() < 0.3]
+        cyclic.append(Graph.from_edges(n, triangle + extra))
+    for g in forests + cyclic:
+        assert g.is_forest() == (g in forests)
+        adj_masks = exact._adjacency_masks(g)
+        table = exact._component_counts(g)
+        assert len(table) == 1 << g.n
+        for mask in range(1 << g.n):
+            assert table[mask] == exact.cc_of_mask(adj_masks, mask)
+
+
+def test_popcounts_without_bitwise_count(monkeypatch):
+    # numpy < 2 has no bitwise_count; the shift loop must agree with it
+    for size in (1, 2, 1 << 10):
+        expected = [mask.bit_count() for mask in range(size)]
+        assert exact._popcounts(size).tolist() == expected
+        with monkeypatch.context() as m:
+            m.delattr(np, "bitwise_count", raising=False)
+            assert exact._popcounts(size).tolist() == expected
+
+
 def test_solve_dp_float_matches_exact():
     rng = random.Random(9)
+    # n = 0 and 1, and the 12-vertex path at the exact tier's cap
+    cases = [Graph.from_edges(0, []), Graph.from_edges(1, []), _path(exact.DP_EXACT_CAP)]
     for _ in range(8):
         n = rng.randrange(2, 11)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < 0.3]
-        g = Graph.from_edges(n, edges)
+        cases.append(Graph.from_edges(n, edges))
+    for g in cases:
         ft = exact.solve_dp(g, exact=False)
         et = exact.solve_dp(g, exact=True)
-        for mask in range(1 << n):
+        for mask in range(1 << g.n):
             assert abs(ft.value(mask) - float(et.value(mask))) < 1e-9
             assert ft.should_stop(mask) == et.should_stop(mask)
 

@@ -29,6 +29,9 @@ def test_config_validation():
         EstimatorConfig(replications=0, seed=1)
     with pytest.raises(ParameterError):
         EstimatorConfig(replications=10, seed=1, ci_level=1.0)
+    for threads in (0, -5):
+        with pytest.raises(ParameterError):
+            EstimatorConfig(replications=10, seed=1, threads=threads)
 
 
 def test_replication_streams_are_reproducible_and_distinct():

@@ -109,6 +109,8 @@ def test_constructor_validation():
         blind_fraction(Fraction(3, 2))
     with pytest.raises(ParameterError):
         two_phase(Fraction(1, 2), Fraction(1, 3), frozenset())
+    with pytest.raises(ParameterError):
+        two_phase(Fraction(1, 3), Fraction(1, 2), frozenset())
 
 
 def test_blind_optimal_threshold_tree():
@@ -156,7 +158,9 @@ def test_parse_strategy_roundtrip():
 
 def test_parse_strategy_errors():
     for bad in ("blind", "blind:x=3", "greedy:fast", "twophase:alpha=1/3",
-                "mystery", "blind:alpha=1/0"):
+                "mystery", "blind:alpha=1/0", "blind:l=abc",
+                "twophase:alpha=1/3,gamma=1/2,trigger=a",
+                "twophase:alpha=1/3,gamma=1/2,trigger="):
         with pytest.raises(ParameterError):
             parse_strategy(bad)
 
