@@ -205,7 +205,10 @@ class TraceStep:
 
 
 def check_permutation(sigma, n):
-    if sorted(sigma) != list(range(n)):
+    """Raise ValidationError unless sigma is a sequence holding 0..n-1 once
+    each.  One-shot iterators are rejected: the check would consume them."""
+    a = np.asarray(sigma)
+    if a.shape != (n,) or not np.array_equal(np.sort(a), np.arange(n)):
         raise ValidationError(f"not a permutation of 0..{n - 1}")
 
 

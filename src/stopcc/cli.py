@@ -35,7 +35,6 @@ def _default_threads():
             return int(env)
         except ValueError:
             raise UsageError(f"STOPCC_THREADS must be an integer, got {env!r}") from None
-    # the pool runs pure-Python workers under the GIL, so one thread is fastest
     return 1
 
 
@@ -52,6 +51,20 @@ def _emit(payload, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _family_params(family, args):
+    """gen_named_family parameters from the instance flags."""
+    params = {}
+    for key in ("n", "k", "d", "side"):
+        value = getattr(args, key)
+        if value is not None:
+            params[key] = value
+    if family == "random_tree":
+        params["seed"] = args.seed
+    if args.ratio is not None and family == "two_star_plus_star":
+        params["ratio"] = Fraction(args.ratio)
+    return params
 
 
 def _build_instance(args):
@@ -77,16 +90,7 @@ def _build_instance(args):
             "seed": args.seed,
         }
     if getattr(args, "family", None):
-        params = {}
-        for name in ("n", "k", "d", "side"):
-            value = getattr(args, name, None)
-            if value is not None:
-                params[name] = value
-        if args.family == "random_tree":
-            params["seed"] = args.seed
-        if getattr(args, "ratio", None) is not None and args.family == "two_star_plus_star":
-            params["ratio"] = Fraction(args.ratio)
-        g, seq = graphs.gen_named_family(args.family, params)
+        g, seq = graphs.gen_named_family(args.family, _family_params(args.family, args))
         desc = {"family": args.family, "n": g.n, "seed": args.seed}
         if args.k is not None:
             desc["k"] = args.k
@@ -107,6 +111,14 @@ def _add_instance_flags(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
+def _add_estimator_flags(sub):
+    sub.add_argument("--reps", type=int, default=1000)
+    sub.add_argument("--ci-level", type=float, default=0.99)
+    sub.add_argument("--threads", type=int, default=_default_threads(),
+                     help="accepted and checked (>= 1) but changes nothing: "
+                          "replications run in index order on one thread")
+
+
 def cmd_generate(args):
     if args.kind == "ktree":
         if args.k is None or args.n is None:
@@ -121,16 +133,7 @@ def cmd_generate(args):
     # named family
     if args.name is None:
         raise UsageError("generate family needs --name")
-    params = {}
-    for key in ("n", "k", "d", "side"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-    if args.name == "random_tree":
-        params["seed"] = args.seed
-    if args.ratio is not None and args.name == "two_star_plus_star":
-        params["ratio"] = Fraction(args.ratio)
-    g, seq = graphs.gen_named_family(args.name, params)
+    g, seq = graphs.gen_named_family(args.name, _family_params(args.name, args))
     if args.out:
         with open(args.out, "w") as fh:
             graphs.write_graph(g, fh)
@@ -168,6 +171,13 @@ def cmd_blind_scan(args):
 
 def cmd_run(args):
     started = time.time()
+    # validated in every mode, so a bad value never reaches the report
+    cfg = montecarlo.EstimatorConfig(
+        replications=args.reps,
+        seed=args.seed,
+        ci_level=args.ci_level,
+        threads=args.threads,
+    )
     g, seq, descriptor = _build_instance(args)
     specs = [strategies.parse_strategy(text) for text in args.strategy]
     results = []
@@ -189,17 +199,11 @@ def cmd_run(args):
             {
                 "strategy": "dp",
                 "mode": "dp",
-                **_rational(value if isinstance(value, Fraction) else float(value)),
+                **_rational(value),
                 "per_vertex": float(value) / g.n if g.n else 0.0,
             }
         )
     else:  # mc
-        cfg = montecarlo.EstimatorConfig(
-            replications=args.reps,
-            seed=args.seed,
-            ci_level=args.ci_level,
-            threads=args.threads,
-        )
         for text, spec in zip(args.strategy, specs):
             if spec.kind == "dp_optimal" and spec.table is None:
                 spec = strategies.dp_optimal(exact.solve_dp(g, exact=False))
@@ -238,6 +242,8 @@ def cmd_run(args):
 def cmd_concentration(args):
     started = time.time()
     g, _, descriptor = _build_instance(args)
+    if g.n == 0:
+        raise ParameterError("concentration needs an instance with at least one vertex")
     beta = g.edge_count / g.n
     # the exact fraction sets the prefix length; floats serve the threshold
     alpha_exact = Fraction(args.alpha)
@@ -334,9 +340,7 @@ def build_parser():
                    help="e.g. blind:l=42, blind:alpha=1/3, greedy, dp, "
                         "twophase:alpha=1/3,gamma=1/2,trigger=initial_clique")
     p.add_argument("--mode", choices=["exact", "dp", "mc"], required=True)
-    p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--ci-level", type=float, default=0.99)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    _add_estimator_flags(p)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_run)
 
@@ -344,9 +348,7 @@ def build_parser():
     _add_instance_flags(p)
     p.add_argument("--alpha", required=True)
     p.add_argument("--epsilon", required=True)
-    p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--ci-level", type=float, default=0.99)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    _add_estimator_flags(p)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_concentration)
 

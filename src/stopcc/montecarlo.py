@@ -1,14 +1,14 @@
 """Seeded, replicable Monte Carlo estimation of strategy values and tails.
 
 Replication i draws its permutation from an independent substream keyed by
-(master seed, i) via numpy's SeedSequence, so results are bit-identical for
-a given config regardless of how many worker threads execute the loop.
+(master seed, i) via numpy's SeedSequence, and replications run in index
+order on one thread, so results are bit-identical for a given seed and
+replication count.  Every rule is scored by strategies.run_strategy.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -20,6 +20,13 @@ from .errors import ParameterError
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """Replication count, master seed and confidence level of one estimate.
+
+    threads is validated (>= 1) but selects nothing: replications always
+    run in index order on one thread, because the rules are pure Python and
+    more threads under the interpreter lock ran slower.
+    """
+
     replications: int
     seed: int
     ci_level: float = 0.99
@@ -77,31 +84,9 @@ def _summarize(scores, cfg, zero_hit_upper=None):
 
 
 def _run_indexed(cfg, worker):
-    """Return the array of worker(i) over every replication, possibly computed
-    on a thread pool; rows follow the replication index, never completion."""
-    reps = cfg.replications
-    results = [None] * reps
-
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            results[i] = worker(i)
-
-    if cfg.threads <= 1:
-        fill(0, reps)
-    else:
-        chunk = max(1, math.ceil(reps / cfg.threads))
-        bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
-    return np.array(results, dtype=np.float64)
-
-
-def _score_one(graph, seq, spec, sigma):
-    if spec.is_blind():
-        l = strategies.blind_stop_count(spec, graph.n)
-        return component_count_trace(graph, sigma[:l])[-1]
-    _, score = strategies.run_strategy(graph, seq, spec, list(sigma))
-    return score
+    """Return the array of worker(i) for every replication i, computed in
+    index order on one thread."""
+    return np.array([worker(i) for i in range(cfg.replications)], dtype=np.float64)
 
 
 def estimate_strategy(graph, seq, spec, cfg):
@@ -110,7 +95,7 @@ def estimate_strategy(graph, seq, spec, cfg):
 
     def worker(i):
         sigma = replication_permutation(cfg.seed, i, graph.n)
-        return _score_one(graph, seq, spec, sigma)
+        return strategies.run_strategy(graph, seq, spec, sigma)[1]
 
     return _summarize(_run_indexed(cfg, worker), cfg)
 
@@ -145,7 +130,7 @@ def compare_strategies(graph, seq, specs, cfg):
 
     def worker(i):
         sigma = replication_permutation(cfg.seed, i, graph.n)
-        return [_score_one(graph, seq, spec, sigma) for spec in specs]
+        return [strategies.run_strategy(graph, seq, spec, sigma)[1] for spec in specs]
 
     scores = _run_indexed(cfg, worker).T  # row s: the scores of specs[s]
     estimates = [_summarize(scores[s], cfg) for s in range(len(specs))]

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .activation import ActivationState, check_permutation
+from .activation import ActivationState, check_permutation, component_count_trace
 from .errors import ParameterError, UsageError, ValidationError
 
 CONTINUE = "continue"
@@ -179,19 +179,22 @@ def decide(spec, view, seq=None):
 
 
 def run_strategy(graph, seq, spec, sigma):
-    """Play sigma through the activation engine, consulting the strategy
-    after each arrival.  Returns (stop_time, component count at stop)."""
+    """Score one order: returns (stop_time, component count at stop).
+
+    A blind rule's stop time depends on n alone, so its count is read from
+    the arrival-time kernel on that prefix.  A full-information rule is
+    consulted after each arrival of sigma through the activation engine.
+    """
     check_permutation(sigma, graph.n)
-    state = ActivationState(graph, seq)
-    if graph.n == 0:
-        return 0, 0
-    view = BlindView(graph.n, 0) if spec.is_blind() else FullView(state)
-    if spec.is_blind() and decide(spec, view, seq) == STOP:
-        return 0, 0
+    if seq is not None and seq.n != graph.n:
+        raise ValidationError("sequence and graph disagree on vertex count")
+    if spec.is_blind():
+        t = blind_stop_count(spec, graph.n)
+        return t, component_count_trace(graph, sigma[:t])[-1]
+    state = ActivationState(graph)
+    view = FullView(state)
     for t, v in enumerate(sigma, start=1):
         state.activate(v)
-        if spec.is_blind():
-            view = BlindView(graph.n, t)
         if decide(spec, view, seq) == STOP:
             return t, state.cc
     return graph.n, state.cc

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stopcc import exact, graphs
@@ -75,10 +76,21 @@ def test_sequence_graph_mismatch_rejected():
 
 def test_check_permutation():
     check_permutation([2, 0, 1], 3)
+    check_permutation(np.array([2, 0, 1]), 3)
+    check_permutation([], 0)
+    bad = [
+        [0, 0, 1],
+        [0, 1],
+        np.array([0, 2, 2]),
+        (v for v in [0, 2, 1]),  # one-shot: checking it would consume it
+        [[0, 2, 1]],
+        ["0", "2", "1"],
+    ]
+    for sigma in bad:
+        with pytest.raises(ValidationError):
+            check_permutation(sigma, 3)
     with pytest.raises(ValidationError):
-        check_permutation([0, 0, 1], 3)
-    with pytest.raises(ValidationError):
-        check_permutation([0, 1], 3)
+        run_permutation(Graph.from_edges(3, [(0, 1)]), None, iter([0, 2, 1]))
 
 
 def _random_graph(rng, n):

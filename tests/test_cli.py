@@ -186,10 +186,20 @@ def test_thread_default_honors_environment(monkeypatch):
 
 
 def test_zero_threads_exits_usage(capsys):
-    code, _, err = _run(capsys, "run", "--family", "path", "--n", "4",
-                        "--strategy", "greedy", "--mode", "mc", "--reps", "2",
-                        "--threads", "0")
-    assert code == cli.EXIT_USAGE and "threads" in err
+    for mode in ("mc", "exact", "dp"):
+        code, _, err = _run(capsys, "run", "--family", "path", "--n", "4",
+                            "--strategy", "greedy", "--mode", mode, "--reps", "2",
+                            "--threads", "0")
+        assert code == cli.EXIT_USAGE and "threads" in err
+
+
+def test_concentration_empty_instance_exits_usage(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("k 1\n")
+    code, out, err = _run(capsys, "concentration", "--seq-file", str(path),
+                          "--alpha", "1/2", "--epsilon", "0.3")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("stopcc:") and "vertex" in err
 
 
 def test_bad_thread_environment_exits_usage(monkeypatch, capsys):

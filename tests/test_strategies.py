@@ -1,13 +1,15 @@
 """Stopping rules, information regimes, and the threshold optimizers."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stopcc import exact, graphs, strategies
 from stopcc.activation import ActivationState
-from stopcc.errors import ParameterError, UsageError
+from stopcc.errors import ParameterError, UsageError, ValidationError
 from stopcc.graphs import Graph
 from stopcc.strategies import (
     BlindView,
@@ -183,8 +185,56 @@ def test_every_strategy_scores_within_dp_value():
 
 def test_run_strategy_validates_permutation():
     g = _path(3)
-    with pytest.raises(Exception):
-        run_strategy(g, None, blind_threshold(1), [0, 0, 1])
+    assert run_strategy(g, None, greedy_gain(), np.array([0, 2, 1])) == (2, 2)
+    bad = [
+        [0, 0, 1],
+        np.array([0, 2, 2]),
+        (v for v in [0, 2, 1]),  # one-shot: checking it would leave nothing to play
+        iter([0, 2, 1]),
+        [[0, 2, 1]],
+        ["0", "2", "1"],
+    ]
+    for spec in (blind_threshold(1), blind_threshold(2), greedy_gain()):
+        for sigma in bad:
+            with pytest.raises(ValidationError):
+                run_strategy(g, None, spec, sigma)
+
+
+def _per_step_blind(graph, spec, sigma):
+    # the reference: consult the blind rule after every arrival
+    state = ActivationState(graph)
+    for t in range(graph.n + 1):
+        if t:
+            state.activate(sigma[t - 1])
+        if decide(spec, BlindView(graph.n, t)) == STOP:
+            return t, state.cc
+
+
+def test_run_strategy_blind_matches_per_step_rule():
+    n = 6
+    specs = [
+        blind_threshold(0),
+        blind_threshold(3),
+        blind_threshold(n + 1),
+        blind_fraction(0),
+        blind_fraction(Fraction(1, 3)),
+        blind_fraction(1),
+    ]
+    instances = [
+        _path(n),
+        Graph.from_edges(n, [(0, v) for v in range(1, n)]),
+        Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)]),
+        Graph.from_edges(n, []),
+        Graph.from_edges(0, []),
+    ]
+    for g in instances:
+        for sigma in itertools.permutations(range(g.n)):
+            for spec in specs:
+                assert run_strategy(g, None, spec, sigma) == _per_step_blind(g, spec, sigma)
+    _, seq = graphs.gen_named_family("path", {"n": n - 1})
+    for spec in specs + [greedy_gain()]:
+        with pytest.raises(ValidationError, match="vertex count"):
+            run_strategy(_path(n), seq, spec, list(range(n)))
 
 
 def test_blind_runs_are_permutation_prefix_functions():
