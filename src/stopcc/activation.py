@@ -7,6 +7,7 @@ amortized O(log n) set operations per vertex.
 
 component_count_trace is the arrival-time kernel: the component count after
 every arrival of an order at once, with none of the other state.
+component_count reads the same kernel for one prefix only.
 """
 
 from __future__ import annotations
@@ -205,36 +206,38 @@ class TraceStep:
 
 
 def check_permutation(sigma, n):
-    """Raise ValidationError unless sigma is a sequence holding 0..n-1 once
-    each.  One-shot iterators are rejected: the check would consume them."""
+    """Return sigma as an integer array, or raise ValidationError unless it
+    is a sequence holding 0..n-1 once each.  One-shot iterators are
+    rejected: the check would consume them."""
     a = np.asarray(sigma)
-    if a.shape != (n,) or not np.array_equal(np.sort(a), np.arange(n)):
+    a = a if a.size else a.astype(np.intp)  # [] carries no integer dtype
+    is_int = a.dtype.kind in "iu"
+    if not (is_int and a.shape == (n,) and np.array_equal(np.sort(a), np.arange(n))):
         raise ValidationError(f"not a permutation of 0..{n - 1}")
+    return a
 
 
 def run_permutation(graph, seq, sigma):
     """Activate every vertex in the order sigma; return the length-(n+1)
     trace of (t, cc, nbr_sum, wv) including the empty prefix."""
-    check_permutation(sigma, graph.n)
+    sigma = check_permutation(sigma, graph.n)
     state = ActivationState(graph, seq)
     trace = [TraceStep(0, 0, 0, 0 if seq is not None else None)]
-    for t, v in enumerate(sigma, start=1):
+    for t, v in enumerate(sigma.tolist(), start=1):
         state.activate(v)
         trace.append(TraceStep(t, state.cc, state.nbr_sum, state.wv))
     return trace
 
 
-def component_count_trace(graph, sigma):
-    """Component count after each arrival of sigma, a permutation or a prefix
-    of one.  Returns a list of length len(sigma)+1 whose entry t is the CC of
-    the first t arrivals.
+def _merge_times(graph, sigma):
+    """Spanning-forest merge times of the arrivals of sigma, a permutation or
+    a prefix of one; a time above len(sigma) never comes.
 
     Vertex sigma[i] arrives at time i+1 and edge (u, v) appears at the later
-    of its endpoints' times; vertices outside sigma never arrive.  Each
-    arrival adds a component and each merge removes one, so
-    CC(t) = t - #{merge times <= t}.  By Kruskal's matroid property the merge
-    times are the weights of a minimum spanning forest of the edge times
-    (Newman & Ziff, PRL 85, 4104, 2000); on a forest every edge merges.
+    of its endpoints' times; vertices outside sigma never arrive.  By
+    Kruskal's matroid property the merge times are the weights of a minimum
+    spanning forest of the edge times (Newman & Ziff, PRL 85, 4104, 2000); on
+    a forest every edge merges.
     """
     t = len(sigma)
     # int32 and in-place updates keep the per-call arrays small
@@ -249,5 +252,24 @@ def component_count_trace(graph, sigma):
             (times[present], (eu[present], ev[present])), shape=(graph.n, graph.n)
         )
         times = minimum_spanning_tree(weights, overwrite=True).data.astype(np.int32)
-    merges = np.bincount(times, minlength=t + 2)[: t + 1]
+    return times
+
+
+def component_count_trace(graph, sigma):
+    """Component count after each arrival of sigma, a permutation or a prefix
+    of one.  Returns a list of length len(sigma)+1 whose entry t is the CC of
+    the first t arrivals.
+
+    Each arrival adds a component and each merge removes one, so
+    CC(t) = t - #{merge times <= t}.
+    """
+    t = len(sigma)
+    merges = np.bincount(_merge_times(graph, sigma), minlength=t + 2)[: t + 1]
     return (np.arange(t + 1) - np.cumsum(merges)).tolist()
+
+
+def component_count(graph, prefix):
+    """Component count of the vertices of prefix: the last entry of
+    component_count_trace(graph, prefix), without the rest of the trace."""
+    t = len(prefix)
+    return t - int(np.count_nonzero(_merge_times(graph, prefix) <= t))

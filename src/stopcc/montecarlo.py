@@ -1,9 +1,9 @@
 """Seeded, replicable Monte Carlo estimation of strategy values and tails.
 
 Replication i draws its permutation from an independent substream keyed by
-(master seed, i) via numpy's SeedSequence, and replications run in index
-order on one thread, so results are bit-identical for a given seed and
-replication count.  Every rule is scored by strategies.run_strategy.
+(master seed, i) via numpy's SeedSequence and runs in index order on one
+thread, so results are bit-identical for a given seed and replication count.
+Rules are scored by strategies.run_strategy, tails by activation.component_count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import strategies
-from .activation import component_count_trace
+from .activation import component_count, component_count_trace
 from .errors import ParameterError
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def estimate_tail(graph, alpha, threshold, cfg):
 
     def worker(i):
         prefix = replication_permutation(cfg.seed, i, n)[:t]
-        return 1.0 if component_count_trace(graph, prefix)[-1] > threshold else 0.0
+        return 1.0 if component_count(graph, prefix) > threshold else 0.0
 
     hits = _run_indexed(cfg, worker)
     zero_upper = None

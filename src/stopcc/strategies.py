@@ -8,17 +8,16 @@ activation state.  Every strategy stops at t = n at the latest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .activation import ActivationState, check_permutation, component_count_trace
+from .activation import ActivationState, check_permutation, component_count
 from .errors import ParameterError, UsageError, ValidationError
 
 CONTINUE = "continue"
 STOP = "stop"
 
 BLIND_KINDS = {"blind_threshold", "blind_fraction"}
-FULL_KINDS = {"greedy_gain", "two_phase", "dp_optimal", "fixed_permutation_oracle"}
 
 
 @dataclass(frozen=True)
@@ -102,6 +101,8 @@ def two_phase(alpha, gamma, trigger):
         trigger = frozenset(trigger)
         if not trigger:
             raise ParameterError("two_phase needs at least one trigger vertex")
+        if min(trigger) < 0:
+            raise ParameterError(f"trigger vertex {min(trigger)} is negative")
     return StrategySpec("two_phase", alpha=alpha, gamma=gamma, trigger=trigger)
 
 
@@ -122,50 +123,49 @@ def stop_count(alpha, n):
     return math.ceil(alpha * n)
 
 
-def blind_stop_count(spec, n):
-    """Arrivals after which a blind rule stops on n vertices."""
+def position_stop_time(spec, n, triggered):
+    """Stop time on n vertices of a rule that reads only arrival positions;
+    None for greedy and dp.  triggered(a) says whether a trigger vertex is
+    among the first a arrivals; two-phase asks it only when a < n."""
     if spec.kind == "blind_threshold":
         return min(spec.l, n)
-    return stop_count(spec.alpha, n)
+    if spec.kind == "blind_fraction":
+        return stop_count(spec.alpha, n)
+    if spec.kind == "fixed_permutation_oracle":
+        return min(max(spec.stop_time, 1), n)  # first consulted at t = 1
+    if spec.kind in ("greedy_gain", "dp_optimal"):
+        return None
+    if spec.kind != "two_phase":
+        raise UsageError(f"unknown strategy kind {spec.kind!r}")
+    a = min(max(stop_count(spec.alpha, n), 1), n)  # first consulted at t = 1
+    if a < n and triggered(a):
+        return min(max(a, stop_count(spec.gamma, n)), n)
+    return a
 
 
-def _trigger_set(spec, seq):
-    if spec.trigger == "initial_clique":
+def _trigger_set(spec, seq, n):
+    trigger = spec.trigger
+    if trigger == "initial_clique":
         if seq is None:
             raise UsageError("trigger=initial_clique needs a construction sequence")
-        return seq.initial_clique()
-    return spec.trigger
+        trigger = seq.initial_clique()
+    if max(trigger) >= n:
+        raise ValidationError(f"trigger vertex {max(trigger)} is not below n={n}")
+    return trigger
 
 
 def decide(spec, view, seq=None):
     """One stop/continue decision from the observable view."""
-    if spec.is_blind():
-        n, t = view.n, view.t
-    else:
-        if not isinstance(view, FullView):
-            raise UsageError(
-                f"strategy {spec.kind} needs full information, got a blind view"
-            )
-        n, t = view.n, view.t
+    if not (spec.is_blind() or isinstance(view, FullView)):
+        raise UsageError(f"{spec.kind} needs full information, got a blind view")
+    n, t = view.n, view.t
     if t >= n:
         return STOP
-
-    if spec.is_blind():
-        return STOP if t >= blind_stop_count(spec, n) else CONTINUE
     if spec.kind == "greedy_gain":
         gain = view.state.expected_gain()
         if spec.strict_gain:
             return CONTINUE if gain > 0 else STOP
         return CONTINUE if gain >= 0 else STOP
-    if spec.kind == "two_phase":
-        t_alpha = stop_count(spec.alpha, n)
-        if t < t_alpha:
-            return CONTINUE
-        trigger = _trigger_set(spec, seq)
-        hit = any(view.state.active[v] for v in trigger)
-        if hit and t < stop_count(spec.gamma, n):
-            return CONTINUE
-        return STOP
     if spec.kind == "dp_optimal":
         if spec.table is None:
             raise UsageError("dp_optimal needs a solved value table attached")
@@ -173,31 +173,36 @@ def decide(spec, view, seq=None):
         if mask is None:
             raise UsageError("dp_optimal requires n within the subset-DP cap")
         return STOP if spec.table.should_stop(mask) else CONTINUE
-    if spec.kind == "fixed_permutation_oracle":
-        return STOP if t >= spec.stop_time else CONTINUE
-    raise UsageError(f"unknown strategy kind {spec.kind!r}")
+
+    def triggered(a):  # active now; in a replay a trigger seen by a stays active
+        return t >= a and any(view.state.active[v] for v in _trigger_set(spec, seq, n))
+
+    return STOP if t >= position_stop_time(spec, n, triggered) else CONTINUE
 
 
 def run_strategy(graph, seq, spec, sigma):
     """Score one order: returns (stop_time, component count at stop).
 
-    A blind rule's stop time depends on n alone, so its count is read from
-    the arrival-time kernel on that prefix.  A full-information rule is
-    consulted after each arrival of sigma through the activation engine.
+    Blind, two-phase and fixed-time rules take position_stop_time and read
+    the count from the arrival-time kernel on that prefix.  Greedy and dp
+    are consulted after each arrival of sigma through the activation engine.
     """
-    check_permutation(sigma, graph.n)
+    sigma = check_permutation(sigma, graph.n)
     if seq is not None and seq.n != graph.n:
         raise ValidationError("sequence and graph disagree on vertex count")
-    if spec.is_blind():
-        t = blind_stop_count(spec, graph.n)
-        return t, component_count_trace(graph, sigma[:t])[-1]
+    n = graph.n
+    t = position_stop_time(
+        spec, n, lambda a: not _trigger_set(spec, seq, n).isdisjoint(sigma[:a].tolist())
+    )
+    if t is not None:
+        return t, component_count(graph, sigma[:t])
     state = ActivationState(graph)
     view = FullView(state)
-    for t, v in enumerate(sigma, start=1):
+    for t, v in enumerate(sigma.tolist(), start=1):
         state.activate(v)
         if decide(spec, view, seq) == STOP:
             return t, state.cc
-    return graph.n, state.cc
+    return n, state.cc
 
 
 def blind_optimal_threshold(kind, n, k=None):

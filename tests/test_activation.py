@@ -10,6 +10,7 @@ from stopcc import exact, graphs
 from stopcc.activation import (
     ActivationState,
     check_permutation,
+    component_count,
     component_count_trace,
     run_permutation,
 )
@@ -75,9 +76,9 @@ def test_sequence_graph_mismatch_rejected():
 
 
 def test_check_permutation():
-    check_permutation([2, 0, 1], 3)
+    assert check_permutation([2, 0, 1], 3).tolist() == [2, 0, 1]
     check_permutation(np.array([2, 0, 1]), 3)
-    check_permutation([], 0)
+    assert check_permutation([], 0).dtype.kind == "i"
     bad = [
         [0, 0, 1],
         [0, 1],
@@ -85,6 +86,7 @@ def test_check_permutation():
         (v for v in [0, 2, 1]),  # one-shot: checking it would consume it
         [[0, 2, 1]],
         ["0", "2", "1"],
+        [0.0, 2.0, 1.0],
     ]
     for sigma in bad:
         with pytest.raises(ValidationError):
@@ -156,6 +158,7 @@ def test_fast_trace_matches_full_engine():
         l = rng.randrange(n + 1)
         prefix = component_count_trace(g, sigma[:l])
         assert prefix == full[: l + 1]
+        assert all(component_count(g, sigma[:j]) == full[j] for j in range(n + 1))
         mask = sum(1 << v for v in sigma[:l])
         assert prefix[-1] == exact.cc_of_mask(exact._adjacency_masks(g), mask)
 

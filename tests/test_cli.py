@@ -171,9 +171,16 @@ def test_metagame_mt_argmax(capsys):
 
 
 def test_bad_strategy_text_exits_usage(capsys):
-    code, _, err = _run(capsys, "run", "--family", "path", "--n", "4",
-                        "--strategy", "mystery", "--mode", "mc")
-    assert code == cli.EXIT_USAGE and "unknown strategy" in err
+    cases = (
+        ("mc", "mystery", "unknown strategy"),
+        ("mc", "twophase:alpha=1/3,gamma=1/2,trigger=99", "trigger vertex 99"),
+        ("exact", "twophase:alpha=1/3,gamma=1/2,trigger=-1", "trigger vertex -1"),
+    )
+    for mode, text, message in cases:
+        code, out, err = _run(capsys, "run", "--family", "path", "--n", "6",
+                              "--strategy", text, "--mode", mode, "--reps", "3")
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("stopcc:") and message in err
 
 
 def test_thread_default_honors_environment(monkeypatch):

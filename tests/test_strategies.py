@@ -113,6 +113,12 @@ def test_constructor_validation():
         two_phase(Fraction(1, 2), Fraction(1, 3), frozenset())
     with pytest.raises(ParameterError):
         two_phase(Fraction(1, 3), Fraction(1, 2), frozenset())
+    with pytest.raises(ParameterError):
+        two_phase(Fraction(1, 3), Fraction(1, 2), frozenset([-1]))
+    # an id past the graph is caught when the rule reads its trigger
+    spec = two_phase(Fraction(1, 3), Fraction(1, 2), frozenset([0, 99]))
+    with pytest.raises(ValidationError, match="trigger vertex 99"):
+        run_strategy(_path(6), None, spec, list(range(6)))
 
 
 def test_blind_optimal_threshold_tree():
@@ -193,25 +199,38 @@ def test_run_strategy_validates_permutation():
         iter([0, 2, 1]),
         [[0, 2, 1]],
         ["0", "2", "1"],
+        [0.0, 2.0, 1.0],  # floats: the engine indexes vertices by integer id
+        np.array([0.0, 2.0, 1.0]),
     ]
-    for spec in (blind_threshold(1), blind_threshold(2), greedy_gain()):
+    specs = (blind_threshold(1), blind_threshold(2), greedy_gain(),
+             two_phase(Fraction(1, 3), Fraction(1, 2), frozenset([0])))
+    for spec in specs:
         for sigma in bad:
             with pytest.raises(ValidationError):
                 run_strategy(g, None, spec, sigma)
 
 
-def _per_step_blind(graph, spec, sigma):
-    # the reference: consult the blind rule after every arrival
+def _per_step(graph, seq, specs, sigma):
+    # the reference: replay sigma once and consult every rule after each
+    # arrival, a blind rule from t = 0 on its blind view, a full-information
+    # rule from t = 1 on the state; a rule scores where it first stops
     state = ActivationState(graph)
+    scores = [None] * len(specs)
     for t in range(graph.n + 1):
         if t:
             state.activate(sigma[t - 1])
-        if decide(spec, BlindView(graph.n, t)) == STOP:
-            return t, state.cc
+        for i, spec in enumerate(specs):
+            if scores[i] is not None or not (t or spec.is_blind()):
+                continue
+            view = BlindView(graph.n, t) if spec.is_blind() else FullView(state)
+            if decide(spec, view, seq) == STOP:
+                scores[i] = (t, state.cc)
+    return [score or (graph.n, state.cc) for score in scores]
 
 
-def test_run_strategy_blind_matches_per_step_rule():
+def test_run_strategy_position_rules_match_per_step_rule():
     n = 6
+    fractions = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
     specs = [
         blind_threshold(0),
         blind_threshold(3),
@@ -219,7 +238,14 @@ def test_run_strategy_blind_matches_per_step_rule():
         blind_fraction(0),
         blind_fraction(Fraction(1, 3)),
         blind_fraction(1),
+        fixed_permutation_oracle(0),
+        fixed_permutation_oracle(3),
+        fixed_permutation_oracle(n + 1),
     ]
+    for alpha, gamma in itertools.combinations_with_replacement(fractions, 2):
+        for trigger in ("initial_clique", frozenset([0]), frozenset(range(n))):
+            specs.append(two_phase(alpha, gamma, trigger))
+    _, path_seq = graphs.gen_named_family("path", {"n": n})
     instances = [
         _path(n),
         Graph.from_edges(n, [(0, v) for v in range(1, n)]),
@@ -228,9 +254,16 @@ def test_run_strategy_blind_matches_per_step_rule():
         Graph.from_edges(0, []),
     ]
     for g in instances:
+        seq = path_seq if g.n == n else None  # n = 0 never reads a trigger
         for sigma in itertools.permutations(range(g.n)):
-            for spec in specs:
-                assert run_strategy(g, None, spec, sigma) == _per_step_blind(g, spec, sigma)
+            scores = [run_strategy(g, seq, spec, sigma) for spec in specs]
+            assert scores == _per_step(g, seq, specs, sigma)
+    # with a = n the trigger is never read, so no sequence is needed
+    spec = two_phase(1, 1, "initial_clique")
+    assert run_strategy(_path(n), None, spec, list(range(n))) == (n, 1)
+    with pytest.raises(UsageError, match="construction sequence"):
+        run_strategy(_path(n), None, two_phase(Fraction(5, 6), 1, "initial_clique"),
+                     list(range(n)))
     _, seq = graphs.gen_named_family("path", {"n": n - 1})
     for spec in specs + [greedy_gain()]:
         with pytest.raises(ValidationError, match="vertex count"):
