@@ -74,6 +74,19 @@ class ActivationState:
     def n(self):
         return self.graph.n
 
+    def copy(self):
+        """An independent state at the same point of play; the graph and the
+        sequence's attachment lists are shared, being read-only."""
+        other = object.__new__(ActivationState)
+        other.__dict__.update(self.__dict__)
+        other.active = self.active[:]
+        other._parent = self._parent[:]
+        other._size = self._size[:]
+        other._boundary = {r: set(s) for r, s in self._boundary.items()}
+        if self._deps is not None:
+            other._m_active = self._m_active[:]
+        return other
+
     def _find(self, x):
         parent = self._parent
         while parent[x] != x:

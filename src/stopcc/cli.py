@@ -148,13 +148,18 @@ def cmd_generate(args):
 
 
 def cmd_blind_scan(args):
+    n = args.n
     if args.kind == "tree":
-        n = args.n
+        if n < 1:
+            raise ParameterError(f"blind-scan --kind tree needs --n >= 1, got {n}")
         values = [exact.blind_expectation_tree(n, l) for l in range(n + 1)]
     else:
         if args.k is None:
             raise UsageError("blind-scan --kind ktree needs --k")
-        n = args.n
+        if n < max(args.k, 1):
+            raise ParameterError(
+                f"blind-scan --kind ktree needs --n >= max(--k, 1), got --n {n}"
+            )
         values = [exact.blind_expectation_ktree(args.k, n, l) for l in range(n + 1)]
     best = max(range(n + 1), key=lambda l: values[l])
     lines = ["l,expected_cc,is_argmax"]

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
 from . import strategies
-from .errors import ParameterError, ResourceLimitError
+from .activation import ActivationState
+from .errors import ParameterError, ResourceLimitError, ValidationError
 
 DP_CAP = 24
 DP_EXACT_CAP = 12
@@ -45,20 +46,19 @@ def blind_expectation_ktree(k, n, l):
     """
     if k < 1 or n < k or not 0 <= l <= n:
         raise ParameterError(f"bad arguments k={k}, n={n}, l={l}")
-
-    def witness_probability(m):
-        # P(the m attachment vertices inactive) * P(v active | that)
-        p = Fraction(1)
-        for j in range(m):
-            p *= Fraction(n - l - j, n - j)
-        return p * Fraction(l, n - m)
-
-    total = Fraction(0)
-    for i in range(1, k + 1):
-        total += witness_probability(i - 1)
-    if n > k:
-        total += (n - k) * witness_probability(k)
-    return total
+    # A vertex with m attachment vertices is a witness with probability
+    # l (n-l)_m / (n)_{m+1}, (x)_m the falling factorial; m = 0..k-1 once
+    # each, m = k for the n-k later vertices.  Summed in integers over the
+    # common denominator (n)_{k+1}, whose last factor n-k is 1 when n == k.
+    falling = [1]  # falling[m] = (n-l)_m
+    for j in range(k):
+        falling.append(falling[-1] * (n - l - j))
+    numerator = (n - k) * falling[k]
+    scale = max(n - k, 1)  # common denominator / (n)_{m+1}, for m = k-1
+    for m in range(k - 1, -1, -1):
+        numerator += falling[m] * scale
+        scale *= n - m
+    return Fraction(l * numerator, scale)
 
 
 def _adjacency_masks(graph):
@@ -221,20 +221,38 @@ def _solve_dp(graph, exact_tier):
 
 
 def brute_force_strategy_value(graph, seq, spec):
-    """Exact expected score: mean over all n! permutations of the strategy's
-    component count at its stopping time."""
+    """Exact expected score: mean over all n! arrival orders of the rule's
+    component count at its stopping time.
+
+    The orders are walked depth first by prefix, and the rule is asked
+    through strategies.decide at every prefix shorter than n, the empty one
+    included; every rule stops at n at the latest.  The (n-t)! orders that
+    start with a prefix of length t where the rule stops all score that
+    prefix's count, so the prefix adds CC * (n-t)! to the sum.
+    """
     n = graph.n
     if n > PERM_CAP:
         raise ResourceLimitError(
             f"permutation enumeration capped at n={PERM_CAP}, got n={n}"
         )
+    if seq is not None and seq.n != n:
+        raise ValidationError("sequence and graph disagree on vertex count")
+    weight = [math.factorial(n - t) for t in range(n + 1)]
     total = 0
-    count = 0
-    for sigma in permutations(range(n)):
-        _, score = strategies.run_strategy(graph, seq, spec, sigma)
-        total += score
-        count += 1
-    return Fraction(total, count)
+    stack = [ActivationState(graph)]
+    while stack:
+        state = stack.pop()
+        t = state.t
+        view = strategies.FullView(state)
+        if t == n or strategies.decide(spec, view, seq) == strategies.STOP:
+            total += state.cc * weight[t]
+            continue
+        for v in range(n):
+            if not state.active[v]:
+                child = state.copy()
+                child.activate(v)
+                stack.append(child)
+    return Fraction(total, weight[0])
 
 
 @dataclass(frozen=True)

@@ -162,10 +162,12 @@ def decide(spec, view, seq=None):
     if t >= n:
         return STOP
     if spec.kind == "greedy_gain":
-        gain = view.state.expected_gain()
+        # expected_gain() is (n - t - nbr_sum) / (n - t) with n - t > 0 here,
+        # so its numerator carries the sign
+        margin = n - t - view.state.nbr_sum
         if spec.strict_gain:
-            return CONTINUE if gain > 0 else STOP
-        return CONTINUE if gain >= 0 else STOP
+            return CONTINUE if margin > 0 else STOP
+        return CONTINUE if margin >= 0 else STOP
     if spec.kind == "dp_optimal":
         if spec.table is None:
             raise UsageError("dp_optimal needs a solved value table attached")

@@ -131,9 +131,17 @@ def test_wv_invariant_on_random_sequences():
         sigma = list(range(n))
         rng.shuffle(sigma)
         state = ActivationState(g, seq)
-        for v in sigma:
+        for i, v in enumerate(sigma):
+            if i == n // 2:
+                # a copy plays the rest in another order and leaves state alone
+                branch = state.copy()
+                for w in reversed(sigma[i:]):
+                    branch.activate(w)
+                    assert (branch.cc, branch.nbr_sum, branch.wv) == (
+                        branch.recount_cc(), branch.recount_nbr_sum(), branch.recount_wv())
             state.activate(v)
-            assert state.wv == state.recount_wv()
+            assert (state.cc, state.nbr_sum, state.wv) == (
+                state.recount_cc(), state.recount_nbr_sum(), state.recount_wv())
 
 
 def test_fast_trace_matches_full_engine():

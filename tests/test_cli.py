@@ -70,6 +70,17 @@ def test_blind_scan_ktree_needs_k(capsys):
     assert code == 0 and len(out.splitlines()) == 11
 
 
+def test_blind_scan_rejects_bad_n(capsys):
+    for argv in (["--kind", "tree", "--n", "-3"], ["--kind", "tree", "--n", "0"],
+                 ["--kind", "ktree", "--k", "2", "--n", "-1"],
+                 ["--kind", "ktree", "--k", "2", "--n", "1"],
+                 ["--kind", "ktree", "--k", "-2", "--n", "-1"]):
+        code, out, err = _run(capsys, "blind-scan", *argv)
+        assert code == cli.EXIT_USAGE and "--n" in err and out == "", argv
+    code, out, _ = _run(capsys, "blind-scan", "--kind", "ktree", "--k", "2", "--n", "2")
+    assert code == 0 and len(out.splitlines()) == 4
+
+
 def test_run_exact_mode_reports_rationals(capsys):
     code, out, _ = _run(capsys, "run", "--family", "path", "--n", "4",
                         "--strategy", "blind:l=2", "--strategy", "dp",

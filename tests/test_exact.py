@@ -1,6 +1,8 @@
 """Closed forms, brute-force oracles, and the subset DP."""
 
 import io
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +10,12 @@ import numpy as np
 import pytest
 
 from stopcc import exact, graphs, strategies
-from stopcc.errors import ParameterError, ResourceLimitError
+from stopcc.errors import (
+    ParameterError,
+    ResourceLimitError,
+    UsageError,
+    ValidationError,
+)
 from stopcc.graphs import Graph
 
 
@@ -42,6 +49,23 @@ def test_blind_expectation_ktree_edge_cases():
         exact.blind_expectation_ktree(0, 5, 2)
     with pytest.raises(ParameterError):
         exact.blind_expectation_ktree(3, 2, 1)
+
+
+def test_blind_expectation_ktree_matches_fraction_products():
+    # the per-vertex witness probabilities multiplied out as Fractions
+    def reference(k, n, l):
+        def witness(m):
+            p = Fraction(l, n - m)
+            for j in range(m):
+                p *= Fraction(n - l - j, n - j)
+            return p
+
+        return sum(witness(m) for m in range(k)) + (n - k) * (witness(k) if n > k else 0)
+
+    for k in range(1, 5):
+        for n in range(k, 30):
+            for l in range(n + 1):
+                assert exact.blind_expectation_ktree(k, n, l) == reference(k, n, l)
 
 
 def test_brute_force_blind_known_values():
@@ -158,6 +182,63 @@ def test_brute_force_strategy_value_cap():
     with pytest.raises(ResourceLimitError):
         exact.brute_force_strategy_value(
             _path(10), None, strategies.blind_threshold(2))
+
+
+def _mean_over_orders(graph, seq, spec):
+    total = sum(strategies.run_strategy(graph, seq, spec, sigma)[1]
+                for sigma in itertools.permutations(range(graph.n)))
+    return Fraction(total, math.factorial(graph.n))
+
+
+def test_brute_force_strategy_value_matches_every_order():
+    rng = random.Random(71)
+    instances = [Graph.from_edges(0, []), Graph.from_edges(1, []),
+                 _path(6), graphs.gen_named_family("star", {"n": 5})[0],
+                 Graph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)])]
+    for n in (4, 5, 6):
+        instances.append(graphs.gen_named_family(
+            "random_tree", {"n": n, "seed": rng.random()})[0])
+        instances.append(Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]))
+    for g in instances:
+        n = g.n
+        # any sequence on n vertices names an initial clique; n = 0 never reads it
+        seq = graphs.gen_named_family("path", {"n": n})[1] if n else None
+        specs = [strategies.blind_threshold(l) for l in (0, 3, n)]
+        specs += [strategies.blind_fraction(a) for a in (0, Fraction(1, 3), 1)]
+        specs += [strategies.fixed_permutation_oracle(s) for s in (0, 3, n + 1)]
+        for trigger in ("initial_clique", frozenset([0]), frozenset(range(max(n, 1)))):
+            specs.append(strategies.two_phase(Fraction(1, 3), Fraction(2, 3), trigger))
+        specs += [strategies.greedy_gain(), strategies.greedy_gain(strict=True),
+                  strategies.dp_optimal(exact.solve_dp(g, exact=True))]
+        for spec in specs:
+            assert exact.brute_force_strategy_value(g, seq, spec) == \
+                _mean_over_orders(g, seq, spec), (n, g.edges(), spec.describe())
+
+
+def test_brute_force_strategy_value_errors():
+    g = _path(6)
+    _, short_seq = graphs.gen_named_family("path", {"n": 5})
+    catalog = [strategies.blind_threshold(3), strategies.blind_fraction(Fraction(1, 2)),
+               strategies.fixed_permutation_oracle(2), strategies.greedy_gain(),
+               strategies.two_phase(Fraction(1, 3), Fraction(1, 2), frozenset([0])),
+               strategies.dp_optimal(exact.solve_dp(g, exact=True))]
+    for spec in catalog:
+        with pytest.raises(ValidationError, match="vertex count"):
+            exact.brute_force_strategy_value(g, short_seq, spec)
+    # the trigger is read, so it must be known and below n
+    with pytest.raises(UsageError, match="construction sequence"):
+        exact.brute_force_strategy_value(
+            g, None, strategies.two_phase(Fraction(1, 3), 1, "initial_clique"))
+    with pytest.raises(ValidationError, match="trigger vertex 99"):
+        exact.brute_force_strategy_value(
+            g, None, strategies.two_phase(Fraction(1, 3), 1, frozenset([0, 99])))
+    # alpha = 1 stops at n before the trigger is read
+    for trigger in ("initial_clique", frozenset([99])):
+        assert exact.brute_force_strategy_value(
+            g, None, strategies.two_phase(1, 1, trigger)) == 1
+    with pytest.raises(UsageError, match="value table"):
+        exact.brute_force_strategy_value(g, None, strategies.dp_optimal(None))
 
 
 def test_value_table_export():

@@ -63,6 +63,29 @@ def test_greedy_on_path_and_star():
     assert decide(greedy_gain(strict=True), view) == STOP
 
 
+def test_greedy_decides_by_the_sign_of_expected_gain():
+    instances = [
+        _path(5),
+        Graph.from_edges(5, [(0, v) for v in range(1, 5)]),
+        Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)]),
+        Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+        Graph.from_edges(4, []),
+    ]
+    signs = set()
+    for g in instances:
+        for sigma in itertools.permutations(range(g.n)):
+            state = ActivationState(g)
+            for v in sigma:  # every prefix with t < n, the empty one included
+                gain = state.expected_gain()
+                signs.add((gain > 0) - (gain < 0))
+                assert decide(greedy_gain(), FullView(state)) == \
+                    (CONTINUE if gain >= 0 else STOP)
+                assert decide(greedy_gain(strict=True), FullView(state)) == \
+                    (CONTINUE if gain > 0 else STOP)
+                state.activate(v)
+    assert signs == {-1, 0, 1}
+
+
 def test_full_information_spec_rejects_blind_view():
     with pytest.raises(UsageError, match="full information"):
         decide(greedy_gain(), BlindView(5, 2))
