@@ -5,6 +5,8 @@ Everything that can be exact is exact (integer/Fraction arithmetic).  The
 subset DP is one layer sweep with two tiers: the exact tier (n <= 12) keeps
 the integers W(S) = V(S)*(n-|S|)! and returns V as Fractions; the float tier
 (n <= 24) keeps V in double precision, with the exact tier as its cross-check.
+The sweep reads a table of the component count of every subset, built in
+NumPy over all masks at once; the flood fill cc_of_mask is its oracle.
 """
 
 from __future__ import annotations
@@ -144,35 +146,67 @@ class ValueTable:
             stream.write(f"{mask} {self.value(mask)} {int(self.stop[mask])}\n")
 
 
-def _popcounts(size):
-    masks = np.arange(size, dtype=np.uint32)
+def _bit_counts(masks):
+    """uint8 popcount of every element of a uint32 array."""
     if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(masks).astype(np.int64)
-    pc = np.zeros(size, dtype=np.int64)
+        return np.bitwise_count(masks)
+    pc = np.zeros(masks.shape, dtype=np.uint8)
+    masks = masks.copy()
     while masks.any():
-        pc += masks & 1
+        pc += (masks & 1).astype(np.uint8)
         masks >>= 1
     return pc
 
 
+def _popcounts(size):
+    return _bit_counts(np.arange(size, dtype=np.uint32))
+
+
 def _component_counts(graph):
-    """int64 CC of every subset bitmask: vertices minus induced edges on a
-    forest (vectorized), cc_of_mask flood fill otherwise."""
+    """int64 CC of every subset bitmask, built over all masks at once.
+
+    A forest doubles on its highest vertex v: for S < 2^v,
+    CC(S + v) = CC(S) + 1 - |S & lower neighbours of v|, since the
+    neighbours of v inside S lie in distinct components.  Any other graph
+    grows the component of each mask's lowest vertex frontier by frontier,
+    takes rest(S) = S minus that component, and counts the steps of the
+    rest chain down to 0.
+    """
     n = graph.n
     size = 1 << n
-    pc = _popcounts(size)
-    if graph.is_forest():
-        masks = np.arange(size, dtype=np.uint32)
-        edges_in = np.zeros(size, dtype=np.int64)
-        for u, v in graph.edges():
-            edges_in += ((masks >> np.uint32(u)) & (masks >> np.uint32(v)) & 1).astype(
-                np.int64
-            )
-        return pc - edges_in
     adj_masks = _adjacency_masks(graph)
+    masks = np.arange(size, dtype=np.uint32)
+    if graph.is_forest():
+        cc = np.zeros(size, dtype=np.int64)
+        for v in range(n):
+            half = 1 << v
+            lower = masks[:half] & np.uint32(adj_masks[v])
+            cc[half: 2 * half] = cc[:half] + 1 - _bit_counts(lower)
+        return cc
+    # nbr[S] = OR of the neighbourhoods of the vertices of S, by doubling
+    nbr = np.zeros(size, dtype=np.uint32)
+    for v in range(n):
+        half = 1 << v
+        np.bitwise_or(nbr[:half], np.uint32(adj_masks[v]), out=nbr[half: 2 * half])
+    comp = masks & (~masks + np.uint32(1))  # lowest vertex of each mask
+    growing = masks[1:]
+    while growing.size:
+        old = comp[growing]
+        grown = (old | nbr[old]) & growing
+        moved = grown != old
+        growing = growing[moved]
+        comp[growing] = grown[moved]
+    del nbr
+    rest = comp
+    rest ^= masks  # S minus the component of its lowest vertex
     cc = np.zeros(size, dtype=np.int64)
-    for mask in range(1, size):
-        cc[mask] = cc_of_mask(adj_masks, mask)
+    live = masks[1:]
+    links = live
+    while live.size:
+        cc[live] += 1
+        links = rest[links]
+        alive = links != 0
+        live, links = live[alive], links[alive]
     return cc
 
 
@@ -194,8 +228,10 @@ def _solve_dp(graph, exact_tier):
     size = 1 << n
     cc = _component_counts(graph)
     pc = _popcounts(size)
-    order = np.argsort(pc, kind="stable")
+    # uint8 keys take NumPy's stable radix sort
+    order = np.argsort(pc, kind="stable").astype(np.uint32)
     offsets = np.searchsorted(pc[order], np.arange(n + 2))
+    del pc
     # exact tier: W(S) <= n*(n-|S|)! <= n*n! < 2**63 for n <= 19, so int64
     # is exact under DP_EXACT_CAP
     values = np.zeros(size, dtype=np.int64 if exact_tier else np.float64)
@@ -206,11 +242,11 @@ def _solve_dp(graph, exact_tier):
     tol = 0 if exact_tier else DP_TIE_TOL
     for t in range(n - 1, -1, -1):
         layer = order[offsets[t]: offsets[t + 1]]
+        # a bit already in S reads S's own value, still 0 in this layer,
+        # so adding it leaves acc bit-identical
         acc = np.zeros(len(layer), dtype=values.dtype)
         for b in range(n):
-            bit = np.uint32(1 << b)
-            absent = (layer & bit) == 0
-            acc[absent] += values[layer[absent] | bit]
+            acc += values[layer | np.uint32(1 << b)]
         if exact_tier:
             here, cont = cc[layer] * math.factorial(n - t), acc
         else:

@@ -105,7 +105,14 @@ def test_solve_dp_path3_by_hand():
     assert table.value(0b101) == Fraction(2)
 
 
-def test_component_count_table_matches_flood_fill():
+def _assert_table_matches_flood_fill(g):
+    adj_masks = exact._adjacency_masks(g)
+    table = exact._component_counts(g)
+    assert table.dtype == np.int64
+    assert table.tolist() == [exact.cc_of_mask(adj_masks, mask) for mask in range(1 << g.n)]
+
+
+def test_component_count_table_matches_flood_fill(monkeypatch):
     rng = random.Random(11)
     forests = [Graph.from_edges(0, []), Graph.from_edges(1, []),
                Graph.from_edges(7, [])]
@@ -119,13 +126,20 @@ def test_component_count_table_matches_flood_fill():
         extra = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if (u, v) not in triangle and rng.random() < 0.3]
         cyclic.append(Graph.from_edges(n, triangle + extra))
+    # the paper's k-trees, a grid whose components take many frontier steps
+    # to grow, and a cycle whose lowest-vertex component grows both ways
+    for k in (2, 3):
+        for n, seed in ((k + 1, 0), (7, 1), (10, 2)):
+            cyclic.append(graphs.graph_from_construction(graphs.gen_random_ktree(k, n, seed)))
+    cyclic.append(graphs.gen_named_family("grid", {"d": 2, "side": 4})[0])
+    cyclic.append(Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)]))
     for g in forests + cyclic:
         assert g.is_forest() == (g in forests)
-        adj_masks = exact._adjacency_masks(g)
-        table = exact._component_counts(g)
-        assert len(table) == 1 << g.n
-        for mask in range(1 << g.n):
-            assert table[mask] == exact.cc_of_mask(adj_masks, mask)
+        _assert_table_matches_flood_fill(g)
+    # numpy < 2 has no bitwise_count; the forest doubling needs the fallback
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    for g in forests + cyclic:
+        _assert_table_matches_flood_fill(g)
 
 
 def test_popcounts_without_bitwise_count(monkeypatch):
@@ -153,6 +167,52 @@ def test_solve_dp_float_matches_exact():
         for mask in range(1 << g.n):
             assert abs(ft.value(mask) - float(et.value(mask))) < 1e-9
             assert ft.should_stop(mask) == et.should_stop(mask)
+
+
+def _reference_dp(g):
+    """Per-mask backward induction in Python numbers: masks by descending
+    popcount; V(S|bit) summed over the absent bits in ascending bit order,
+    starting from 0.0, and divided by n - t; ties stop within DP_TIE_TOL.
+    Returns the float V, its stop flags, and the exact tier's W and flags."""
+    n = g.n
+    adj_masks = exact._adjacency_masks(g)
+    v, w, v_stop, w_stop = {}, {}, {}, {}
+    for mask in sorted(range(1 << n), key=lambda m: -m.bit_count()):
+        cc = exact.cc_of_mask(adj_masks, mask)
+        t = mask.bit_count()
+        if t == n:
+            v[mask], w[mask], v_stop[mask], w_stop[mask] = float(cc), cc, True, True
+            continue
+        v_sum, w_sum = 0.0, 0
+        for b in range(n):
+            if not mask >> b & 1:
+                v_sum += v[mask | 1 << b]
+                w_sum += w[mask | 1 << b]
+        cont, here = v_sum / (n - t), cc * math.factorial(n - t)
+        v[mask], v_stop[mask] = max(float(cc), cont), cc >= cont - exact.DP_TIE_TOL
+        w[mask], w_stop[mask] = max(here, w_sum), here >= w_sum
+    masks = range(1 << n)
+    return ([v[m] for m in masks], [v_stop[m] for m in masks],
+            [w[m] for m in masks], [w_stop[m] for m in masks])
+
+
+def test_solve_dp_matches_per_mask_reference_bit_for_bit():
+    rng = random.Random(23)
+    cases = [Graph.from_edges(0, []), _path(9),
+             graphs.graph_from_construction(graphs.gen_random_ktree(2, 9, 4))]
+    for _ in range(6):
+        n = rng.randrange(2, 10)
+        cases.append(Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                          if rng.random() < 0.4]))
+        cases.append(graphs.gen_named_family("random_tree", {"n": n, "seed": rng.random()})[0])
+    for g in cases:
+        v, v_stop, w, w_stop = _reference_dp(g)
+        ft = exact.solve_dp(g, exact=False)
+        assert ft.values.tobytes() == np.array(v, dtype=np.float64).tobytes()
+        assert ft.stop.tolist() == v_stop
+        et = exact.solve_dp(g, exact=True)
+        assert et.values.tolist() == w
+        assert et.stop.tolist() == w_stop
 
 
 def test_solve_dp_caps():
