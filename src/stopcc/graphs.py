@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -31,34 +32,54 @@ class Graph:
 
     @staticmethod
     def from_edges(n, edges):
+        """The graph on vertices 0..n-1 with the given undirected edges.
+
+        ``edges`` is an int (m, 2) array or an iterable of (u, v) pairs.  The
+        adjacency is built with array sorts; ``adj`` holds one shared Python
+        int per vertex id.  ValidationError is raised for an entry that is not
+        a pair of integers, and otherwise for the first edge, in input order,
+        that has an id outside 0..n-1, is a self-loop, or repeats an earlier
+        edge in either direction (the message names the first of these that
+        applies).
+        """
         if n < 0:
             raise ValidationError("vertex count must be nonnegative")
-        neighbors = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-            if v in neighbors[u]:
-                raise ValidationError(f"duplicate edge ({u},{v})")
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        return Graph(n, tuple(tuple(sorted(s)) for s in neighbors))
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = _edge_pairs(edges)
+        i = _first_bad_edge(n, pairs[:, 0], pairs[:, 1])
+        if i >= 0:
+            a, b = edges[i]
+            if not (0 <= pairs[i, 0] < n and 0 <= pairs[i, 1] < n):
+                raise ValidationError(f"edge ({a},{b}) out of range for n={n}")
+            if a == b:
+                raise ValidationError(f"self-loop at vertex {a}")
+            raise ValidationError(f"duplicate edge ({a},{b})")
+        src, dst = _sorted_arcs(n, pairs[:, 0], pairs[:, 1])
+        bounds = [0] + np.cumsum(np.bincount(src, minlength=n)).tolist()
+        # gathering from one object array shares each vertex's int object
+        # across its adjacency entries; tolist() would make a fresh int for
+        # every entry
+        flat = tuple(np.array(range(n), dtype=object)[dst])
+        return Graph(n, tuple([flat[i:j] for i, j in zip(bounds, bounds[1:])]))
 
     @property
     def edge_count(self):
-        return sum(len(a) for a in self.adj) // 2
+        return len(self.edge_arrays[0])
 
     def edges(self):
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        """The edges as (u, v) pairs of Python ints, u < v, in lexicographic
+        order."""
+        eu, ev = self.edge_arrays
+        return list(zip(eu.tolist(), ev.tolist()))
 
     def has_edge(self, u, v):
         return v in self.adj[u]
 
     @cached_property
     def edge_arrays(self):
-        """(eu, ev): int32 arrays with eu[i] < ev[i], one entry per edge,
-        built once per graph."""
+        """(eu, ev): int32 arrays with eu[i] < ev[i], one entry per edge in
+        lexicographic order, built once per graph."""
         deg = np.fromiter(map(len, self.adj), dtype=np.int32, count=self.n)
         m = int(deg.sum()) // 2
         # the results are allocated before the temporaries: heap memory freed
@@ -189,13 +210,60 @@ class KSystem:
             seen.add(v)
 
 
+def _first_bad_edge(n, u, v):
+    """Index of the first edge (u[i], v[i]) that is out of range, a self-loop
+    or a repeat of an earlier edge in either direction; -1 if there is none."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = (lo < 0) | (hi >= n) | (u == v)
+    # a key equals a valid edge's only for the same edge or for an
+    # out-of-range one, and the earlier of the two is bad either way
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    bad[order[1:][key[1:] == key[:-1]]] = True
+    return int(bad.argmax()) if bad.any() else -1
+
+
+def _sorted_arcs(n, u, v):
+    """Both directions of the valid edges (u[i], v[i]) as int64 arrays
+    (source, target), sorted by (source, target)."""
+    key = np.concatenate((u * n + v, v * n + u))
+    # the same sort as _first_bad_edge's: a process that builds only small
+    # graphs then maps in one sort's code, not two
+    key.sort(kind="stable")
+    return np.divmod(key, n)
+
+
+def _edge_pairs(edges):
+    """``edges`` (an array or a list) as an int64 (m, 2) array."""
+    if (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"
+            and edges.ndim == 2 and edges.shape[1] == 2):
+        return edges.astype(np.int64, copy=False)
+    try:
+        flat = np.fromiter(map(operator.index, chain.from_iterable(edges)), dtype=np.int64)
+        if len(flat) == 2 * len(edges):
+            return flat.reshape(-1, 2)
+    except (TypeError, OverflowError):
+        pass
+    # name the first entry that is not a pair of integers; an integer beyond
+    # int64 is out of range for every n and reads as -1
+    flat = []
+    for e in edges:
+        try:
+            pair = tuple(map(operator.index, e))
+        except TypeError:
+            pair = ()
+        if len(pair) != 2:
+            raise ValidationError(f"edge {e!r} is not a pair of integer vertex ids")
+        flat.extend(x if -2**63 <= x < 2**63 else -1 for x in pair)
+    return np.array(flat, dtype=np.int64).reshape(-1, 2)
+
+
 def graph_from_construction(seq):
     """Expand a construction sequence into the graph it builds."""
     seq.validate()
-    edges = []
-    for v, m in seq.order:
-        edges.extend((v, w) for w in m)
-    return Graph.from_edges(seq.n, edges)
+    pairs = chain.from_iterable((v, w) for v, m in seq.order for w in m)
+    return Graph.from_edges(seq.n, np.fromiter(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 def is_ktree(seq, g):
@@ -380,16 +448,18 @@ def gen_named_family(family, params):
                 f"two_star_plus_star needs >=3 vertices in the 2-star and >=2 "
                 f"in the star; got split {m2}/{n - m2}"
             )
-        # 2-star: initial clique {0,1}, vertices 2..m2-1 attached to both
-        edges = [(0, 1)]
-        edges += [(0, v) for v in range(2, m2)]
-        edges += [(1, v) for v in range(2, m2)]
-        # star: center m2, leaves m2+1..n-1
+        # 2-star: initial clique {0,1}, vertices 2..m2-1 attached to both;
+        # star: center m2, leaves m2+1..n-1; a joining edge from vertex 2
         center = m2
-        edges += [(center, v) for v in range(m2 + 1, n)]
-        # joining edge from a non-initial 2-star vertex
         target = center if attach == "center" else m2 + 1
-        edges.append((2, target))
+        inner = np.arange(2, m2)
+        leaves = np.arange(m2 + 1, n)
+        edges = np.concatenate((
+            [[0, 1], [2, target]],
+            np.stack((np.zeros_like(inner), inner), axis=1),
+            np.stack((np.ones_like(inner), inner), axis=1),
+            np.stack((np.full_like(leaves, center), leaves), axis=1),
+        ))
         return Graph.from_edges(n, edges), None
     if family == "random_tree":
         n = _require_int(p, "n", 1)
@@ -402,15 +472,15 @@ def gen_named_family(family, params):
         d = _require_int(p, "d", 1)
         side = _require_int(p, "side", 1)
         _reject_extras(family, p)
-        points = list(product(range(side), repeat=d))
-        index = {pt: i for i, pt in enumerate(points)}
-        edges = []
-        for pt in points:
-            for axis in range(d):
-                if pt[axis] + 1 < side:
-                    nxt = pt[:axis] + (pt[axis] + 1,) + pt[axis + 1:]
-                    edges.append((index[pt], index[nxt]))
-        return Graph.from_edges(len(points), edges), None
+        # vertex a has coordinate (a // side^(d-1-axis)) % side on each axis
+        n = side**d
+        a = np.arange(n)
+        blocks = []
+        for axis in range(d):
+            stride = side ** (d - 1 - axis)
+            low = a[(a // stride) % side < side - 1]
+            blocks.append(np.stack((low, low + stride), axis=1))
+        return Graph.from_edges(n, np.concatenate(blocks)), None
     raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 

@@ -1,9 +1,12 @@
 """Data types, generators, families, and file formats."""
 
 import io
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stopcc import graphs
@@ -29,6 +32,104 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValidationError):
         Graph.from_edges(3, [(0, 1), (1, 0)])
+    for bad in ([(0.5, 1)], [(0.0, 1)], [(0, "1")], [(0, 1, 2)], [(0,)], [3],
+                np.array([[0.0, 1.0]]), np.array([[0, 1, 2]])):
+        with pytest.raises(ValidationError, match="not a pair of integer vertex ids"):
+            Graph.from_edges(3, bad)
+    # an id too large for int64 is out of range, not an overflow
+    with pytest.raises(ValidationError, match="edge \\(99999999999999999999,0\\) out of range"):
+        Graph.from_edges(3, [(0, 1), (99999999999999999999, 0)])
+    with pytest.raises(ValidationError, match="self-loop at vertex 1"):
+        Graph.from_edges(3, [(1, 1), (-2**64, 0)])
+    with pytest.raises(ValidationError, match="out of range for n=3"):
+        graphs.read_graph(io.StringIO("n 3\ne 99999999999999999999 0\n"))
+
+
+def _reference_from_edges(n, edges):
+    """The per-edge, set-based build that Graph.from_edges replaced."""
+    if n < 0:
+        raise ValidationError("vertex count must be nonnegative")
+    neighbors = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValidationError(f"self-loop at vertex {u}")
+        if v in neighbors[u]:
+            raise ValidationError(f"duplicate edge ({u},{v})")
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    return Graph(n, tuple(tuple(sorted(s)) for s in neighbors))
+
+
+def _assert_same_graph(g, ref):
+    assert g == ref
+    # one int object per vertex id, shared by every adjacency entry
+    ids = {}
+    for a in g.adj:
+        for w in a:
+            assert type(w) is int and ids.setdefault(w, w) is w
+    eu, ev = g.edge_arrays
+    pairs = [(u, v) for u in range(ref.n) for v in ref.adj[u] if u < v]
+    expect = np.array(pairs, dtype=np.int32).reshape(-1, 2)
+    for arr, col in ((eu, expect[:, 0]), (ev, expect[:, 1])):
+        assert arr.dtype == np.int32 and not arr.flags.writeable
+        assert arr.tobytes() == col.tobytes()
+    assert g.edges() == pairs and g.edge_count == len(pairs)
+    assert all(type(x) is int for e in g.edges() for x in e)
+
+
+def _random_edges(rng, n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    rng.shuffle(pairs)
+    return [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+
+
+def test_from_edges_matches_set_based_reference():
+    rng = random.Random(7)
+    for n in range(31):
+        for _ in range(3):
+            edges = _random_edges(rng, n)
+            ref = _reference_from_edges(n, edges)
+            _assert_same_graph(Graph.from_edges(n, edges), ref)
+            _assert_same_graph(Graph.from_edges(n, iter(edges)), ref)
+            array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            _assert_same_graph(Graph.from_edges(n, array), ref)
+
+
+def test_from_edges_names_the_same_first_offender_as_the_reference():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(400):
+        n = rng.randrange(0, 12)
+        edges = _random_edges(rng, n)
+        valid = len(edges)
+        for _ in range(rng.randrange(1, 4)):
+            kind = rng.choice(("range", "loop", "duplicate"))
+            if kind == "range":
+                bad = (rng.choice((-1, n, n + 3, -n - 1, 2**70)), rng.randrange(max(n, 1)))
+            elif kind == "loop" and n:
+                w = rng.randrange(n)
+                bad = (w, w)
+            elif kind == "duplicate" and edges:
+                u, v = rng.choice(edges)
+                bad = rng.choice(((u, v), (v, u)))
+            else:
+                continue
+            edges.insert(rng.randrange(len(edges) + 1), bad[::rng.choice((1, -1))])
+        if len(edges) == valid:
+            continue
+        with pytest.raises(ValidationError) as expected:
+            _reference_from_edges(n, edges)
+        with pytest.raises(ValidationError) as got:
+            Graph.from_edges(n, edges)
+        assert str(got.value) == str(expected.value), (n, edges)
+        if all(abs(x) < 2**63 for e in edges for x in e):
+            with pytest.raises(ValidationError) as got:
+                Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+            assert str(got.value) == str(expected.value), (n, edges)
+        checked += 1
+    assert checked > 300
 
 
 def test_forest_and_connectivity_flags():
@@ -194,6 +295,51 @@ def test_family_grid_shape():
     assert g.n == 9 and g.edge_count == 12
 
 
+def _reference_grid_edges(d, side):
+    points = list(itertools.product(range(side), repeat=d))
+    index = {pt: i for i, pt in enumerate(points)}
+    edges = []
+    for pt in points:
+        for axis in range(d):
+            if pt[axis] + 1 < side:
+                nxt = pt[:axis] + (pt[axis] + 1,) + pt[axis + 1:]
+                edges.append((index[pt], index[nxt]))
+    return edges
+
+
+def _reference_two_star_plus_star_edges(n, m2, attach):
+    edges = [(0, 1)]
+    edges += [(0, v) for v in range(2, m2)]
+    edges += [(1, v) for v in range(2, m2)]
+    edges += [(m2, v) for v in range(m2 + 1, n)]
+    edges.append((2, m2 if attach == "center" else m2 + 1))
+    return edges
+
+
+def test_family_builders_match_reference_edge_lists():
+    for d in (1, 2, 3):
+        for side in range(1, 6):
+            g, _ = graphs.gen_named_family("grid", {"d": d, "side": side})
+            ref = _reference_from_edges(side**d, _reference_grid_edges(d, side))
+            _assert_same_graph(g, ref)
+    # ids above 256 are not interned by Python, so this checks the sharing
+    g, _ = graphs.gen_named_family("grid", {"d": 2, "side": 30})
+    _assert_same_graph(g, _reference_from_edges(900, _reference_grid_edges(2, 30)))
+    for n, ratio in ((5, Fraction(3, 5)), (20, Fraction(3, 4)), (57, Fraction(9, 10))):
+        for attach in ("center", "leaf"):
+            g, _ = graphs.gen_named_family(
+                "two_star_plus_star", {"n": n, "ratio": ratio, "attach": attach})
+            m2 = math.ceil(ratio * n)
+            ref = _reference_from_edges(n, _reference_two_star_plus_star_edges(n, m2, attach))
+            _assert_same_graph(g, ref)
+    for k in (1, 2, 3):
+        for n in (k, k + 1, 10, 31):
+            for seed in range(3):
+                seq = graphs.gen_random_ktree(k, n, seed)
+                ref = _reference_from_edges(n, [(v, w) for v, m in seq.order for w in m])
+                _assert_same_graph(graphs.graph_from_construction(seq), ref)
+
+
 def test_family_parameter_errors():
     with pytest.raises(ParameterError, match="unknown family"):
         graphs.gen_named_family("widget", {})
@@ -206,11 +352,21 @@ def test_family_parameter_errors():
 
 
 def test_graph_file_roundtrip():
-    g, _ = graphs.gen_named_family("random_tree", {"n": 12, "seed": 1})
-    buf = io.StringIO()
-    graphs.write_graph(g, buf)
-    back = graphs.read_graph(io.StringIO(buf.getvalue()))
-    assert back == g
+    instances = [
+        graphs.gen_named_family("random_tree", {"n": 12, "seed": 1})[0],
+        graphs.gen_named_family("grid", {"d": 2, "side": 4})[0],
+        graphs.graph_from_construction(graphs.gen_random_ktree(2, 15, seed=3)),
+        Graph.from_edges(4, []),
+    ]
+    for g in instances:
+        buf = io.StringIO()
+        graphs.write_graph(g, buf)
+        # one line per edge u < v, in lexicographic order
+        lines = [f"n {g.n}"] + [f"e {u} {v}" for u in range(g.n) for v in g.adj[u] if u < v]
+        assert buf.getvalue() == "".join(line + "\n" for line in lines)
+        back = graphs.read_graph(io.StringIO(buf.getvalue()))
+        assert back == g
+        _assert_same_graph(back, g)
 
 
 def test_sequence_file_roundtrip():
