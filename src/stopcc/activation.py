@@ -59,13 +59,10 @@ class ActivationState:
             self.wv = 0
             self._m_active = [0] * n  # active members of M_v, per vertex
             deps = [[] for _ in range(n)]
-            m_size = [0] * n
             for v, m in seq.order:
-                m_size[v] = len(m)
                 for w in m:
                     deps[w].append(v)
             self._deps = deps
-            self._m_size = m_size
         else:
             self.wv = None
             self._deps = None

@@ -96,36 +96,26 @@ class Graph:
         return eu, ev
 
     @cached_property
-    def _acyclic(self):
-        # a graph is a forest iff every edge joins two components: m = n - c
+    def _component_count(self):
         eu, ev = self.edge_arrays
-        if len(eu) >= self.n > 0:  # more edges than a forest can have
-            return False
         ones = np.ones(len(eu))
         c, _ = connected_components(
             csr_matrix((ones, (eu, ev)), shape=(self.n, self.n)), directed=False
         )
-        return len(eu) == self.n - c
+        return c
 
     def is_forest(self):
-        """True iff the graph is acyclic."""
-        return self._acyclic
+        """True iff the graph is acyclic: every edge joins two components,
+        so m = n - c."""
+        m = self.edge_count
+        if m >= self.n > 0:  # more edges than a forest can have
+            return False
+        return m == self.n - self._component_count
 
     def is_connected(self):
-        if self.n == 0:
-            return True
-        seen = bytearray(self.n)
-        stack = [0]
-        seen[0] = 1
-        count = 1
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    stack.append(w)
-        return count == self.n
+        """True iff the graph has at most one component (the empty graph
+        has none)."""
+        return self._component_count <= 1
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ParameterError
 
+_MT_GRID_STEP = 0.001
+
 
 def _check_unit(**kwargs):
+    # elementwise, so that scalars and grids share one check
     for name, value in kwargs.items():
-        if not 0 <= value <= 1:
+        if not np.all((0 <= value) & (value <= 1)):
             raise ParameterError(f"{name}={value} must lie in [0,1]")
 
 
@@ -49,10 +51,11 @@ def mt_score(alpha, k):
     return (1 - alpha) ** k * alpha
 
 
-def mt_argmax(k, grid_step=0.001):
-    """Grid argmax of mt_score over [0,1] (analytically 1/(k+1))."""
-    grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    vals = (1 - grid) ** k * grid
+def mt_argmax(k):
+    """Argmax of mt_score over the [0,1] grid of step 1/1000 (analytically
+    1/(k+1)), with its value."""
+    grid = np.arange(0.0, 1.0 + _MT_GRID_STEP / 2, _MT_GRID_STEP)
+    vals = mt_score(grid, k)
     best = int(np.argmax(vals))
     return float(grid[best]), float(vals[best])
 
@@ -60,43 +63,21 @@ def mt_argmax(k, grid_step=0.001):
 @dataclass(frozen=True)
 class PhiMaximum:
     max_value: float
-    maximizers: tuple  # refined (alpha, beta, gamma) triples near the max
+    maximizers: tuple  # grid points attaining the max
 
 
-def maximize_phi(grid_step=0.01, refine_tol=1e-9, report_tol=1e-6):
-    """Grid scan of phi over [0,1]^3 plus local refinement.
+def maximize_phi():
+    """Maximum of phi over the [0,1]^3 grid of step 1/100, with every grid
+    point attaining it, in lexicographic order.
 
-    Returns the maximum and representative maximizers (grid points whose
-    refined value is within report_tol of the max); the true maximizer set
-    is a union of curves, so representatives only.
+    phi = 1/4 - (1 - ab)(a - 1/2)^2 - ab(g - 1/2)^2 exactly, and both weights
+    are nonnegative on [0,1]^3, so the maximum is 1/4, attained exactly on
+    {a = 1/2, b = 0}, {a = 1/2, g = 1/2} and at (1, 1, 1/2).  The step puts
+    1/2 and 1 on the grid, so the grid holds points of all three sets and
+    its maximizers are exact ones.
     """
-    if grid_step > 0.01 or refine_tol > 1e-9:
-        raise ParameterError("need grid_step <= 0.01 and refine_tol <= 1e-9")
-    axis = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    a, b, g = np.meshgrid(axis, axis, axis, indexing="ij")
-    vals = (1 - a) * (a - a**2 * b) + a * b * (g - g**2)
-    grid_max = float(vals.max())
-
-    def negated(x):
-        aa, bb, gg = np.clip(x, 0.0, 1.0)
-        return -((1 - aa) * (aa - aa**2 * bb) + aa * bb * (gg - gg**2))
-
-    # the maximizer set is flat curves at the max; a tight cut keeps the
-    # curve points without dragging in their curved-direction neighbors
-    near = np.argwhere(vals >= grid_max - 5e-5)
-    maximizers = []
-    best = grid_max
-    for idx in near:
-        x0 = np.array([axis[idx[0]], axis[idx[1]], axis[idx[2]]])
-        res = optimize.minimize(
-            negated,
-            x0,
-            method="L-BFGS-B",
-            bounds=[(0, 1)] * 3,
-            options={"ftol": refine_tol * 1e-2, "gtol": 1e-12},
-        )
-        value = -res.fun
-        best = max(best, value)
-        maximizers.append((value, tuple(np.clip(res.x, 0.0, 1.0))))
-    kept = tuple(pt for value, pt in maximizers if value >= best - report_tol)
-    return PhiMaximum(best, kept)
+    axis = np.arange(0.0, 1.005, 0.01)
+    vals = phi_simplified(*np.meshgrid(axis, axis, axis, indexing="ij", sparse=True))
+    best = vals.max()
+    points = axis[np.argwhere(vals == best)]
+    return PhiMaximum(float(best), tuple(map(tuple, points.tolist())))

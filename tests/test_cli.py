@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, report shapes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from stopcc import cli, graphs
+from stopcc import cli, graphs, metagame
 
 
 def _run(capsys, *argv):
@@ -179,6 +183,32 @@ def test_metagame_mt_argmax(capsys):
     assert report["analytic_value"] == pytest.approx(27 / 256)
     code, _, err = _run(capsys, "metagame", "mt-argmax")
     assert code == cli.EXIT_USAGE
+    for k in ("-1", "-3"):
+        code, out, err = _run(capsys, "metagame", "mt-argmax", "--k", k)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("stopcc:") and f"k={k}" in err
+
+
+def test_metagame_phi_max(capsys):
+    code, out, _ = _run(capsys, "metagame", "phi-max")
+    assert code == 0
+    report = json.loads(out)
+    assert report["max_value"] == 0.25
+    assert report["max_value_str"] == "0.250000000"
+    assert len(report["maximizers"]) == 20
+    for pt in report["maximizers"]:
+        assert abs(metagame.phi(*pt) - 0.25) <= 1e-12
+
+
+def test_cli_import_skips_scipy_optimize():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import stopcc.cli, sys; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_bad_strategy_text_exits_usage(capsys):

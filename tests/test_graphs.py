@@ -132,6 +132,21 @@ def test_from_edges_names_the_same_first_offender_as_the_reference():
     assert checked > 300
 
 
+def _bfs_connected(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0} if n else set()
+    stack = list(seen)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
 def test_forest_and_connectivity_flags():
     triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert not triangle.is_forest()
@@ -140,6 +155,19 @@ def test_forest_and_connectivity_flags():
     assert two_parts.is_forest()
     assert not two_parts.is_connected()
     assert Graph.from_edges(0, []).is_connected()
+    assert Graph.from_edges(1, []).is_connected()
+    assert not Graph.from_edges(3, []).is_connected()
+    assert not Graph.from_edges(4, [(0, 1), (1, 2)]).is_connected()
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+        expected = _bfs_connected(n, edges)
+        assert Graph.from_edges(n, edges).is_connected() == expected, (n, edges)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def _sample_k2_sequence():

@@ -1,6 +1,7 @@
 """Analytic side games: the trivariate score and the width-k score."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,8 @@ def test_mt_score_values_and_checks():
         metagame.mt_score(0.5, 1.5)
     with pytest.raises(ParameterError):
         metagame.mt_score(2.0, 1)
+    with pytest.raises(ParameterError):
+        metagame.mt_argmax(-1)
 
 
 def test_mt_argmax_small_widths():
@@ -49,8 +52,21 @@ def test_mt_argmax_small_widths():
         assert value <= k ** k / (k + 1) ** (k + 1) + 1e-12
 
 
-def test_maximize_phi_guards_loose_settings():
-    with pytest.raises(ParameterError):
-        metagame.maximize_phi(grid_step=0.1)
-    with pytest.raises(ParameterError):
-        metagame.maximize_phi(refine_tol=1e-3)
+def test_phi_square_completion_is_exact():
+    # phi = 1/4 - (1 - ab)(a - 1/2)^2 - ab(g - 1/2)^2 is why the grid scan
+    # finds the exact maximum
+    rng = random.Random(7)
+    half = Fraction(1, 2)
+    for _ in range(500):
+        a, b, g = (Fraction(rng.randint(0, 1000), 1000) for _ in range(3))
+        squares = Fraction(1, 4) - (1 - a * b) * (a - half) ** 2 - a * b * (g - half) ** 2
+        assert metagame.phi(a, b, g) == squares
+        assert metagame.phi_simplified(a, b, g) == squares
+
+
+def test_maximize_phi_returns_exact_grid_maximizers():
+    result = metagame.maximize_phi()
+    assert result.max_value == 0.25
+    # 101 + 101 - 1 points on the two a = 1/2 lines, plus the corner
+    assert len(result.maximizers) == 202
+    assert all(metagame.phi_simplified(*pt) == 0.25 for pt in result.maximizers)
