@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 3 resource cap exceeded, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -27,6 +28,9 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_IO = 4
 
+BLIND_SCAN_CAP = 10**6
+BLIND_SCAN_ROW_BYTES = 190  # peak memory per curve row, estimated high
+
 
 def _default_threads():
     env = os.environ.get("STOPCC_THREADS")
@@ -44,13 +48,19 @@ def _rational(value):
     return {"exact": None, "value": float(value)}
 
 
-def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+@contextlib.contextmanager
+def _output(path):
+    """The file at path, opened for writing, or stdout when path is empty."""
+    if path:
+        with open(path, "w") as fh:
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(payload, out_path):
+    with _output(out_path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _family_params(family, args):
@@ -124,53 +134,46 @@ def cmd_generate(args):
         if args.k is None or args.n is None:
             raise UsageError("generate ktree needs --k and --n")
         seq = graphs.gen_random_ktree(args.k, args.n, args.seed)
-        if args.out:
-            with open(args.out, "w") as fh:
-                graphs.write_sequence(seq, fh)
-        else:
-            graphs.write_sequence(seq, sys.stdout)
+        with _output(args.out) as fh:
+            graphs.write_sequence(seq, fh)
         return 0
     # named family
     if args.name is None:
         raise UsageError("generate family needs --name")
     g, seq = graphs.gen_named_family(args.name, _family_params(args.name, args))
-    if args.out:
-        with open(args.out, "w") as fh:
-            graphs.write_graph(g, fh)
-    else:
-        graphs.write_graph(g, sys.stdout)
+    with _output(args.out) as fh:
+        graphs.write_graph(g, fh)
     if args.seq_out:
         if seq is None:
             raise UsageError(f"family {args.name} has no construction sequence")
-        with open(args.seq_out, "w") as fh:
+        with _output(args.seq_out) as fh:
             graphs.write_sequence(seq, fh)
     return 0
 
 
 def cmd_blind_scan(args):
     n = args.n
-    if args.kind == "tree":
-        if n < 1:
-            raise ParameterError(f"blind-scan --kind tree needs --n >= 1, got {n}")
-        values = [exact.blind_expectation_tree(n, l) for l in range(n + 1)]
-    else:
-        if args.k is None:
-            raise UsageError("blind-scan --kind ktree needs --k")
-        if n < max(args.k, 1):
-            raise ParameterError(
-                f"blind-scan --kind ktree needs --n >= max(--k, 1), got --n {n}"
-            )
-        values = [exact.blind_expectation_ktree(args.k, n, l) for l in range(n + 1)]
-    best = max(range(n + 1), key=lambda l: values[l])
-    lines = ["l,expected_cc,is_argmax"]
-    for l in range(n + 1):
-        lines.append(f"{l},{float(values[l])},{int(l == best)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    k = 1 if args.kind == "tree" else args.k  # l(n-l+1)/n is the width-1 curve
+    if k is None:
+        raise UsageError("blind-scan --kind ktree needs --k")
+    if n < max(k, 1):
+        raise ParameterError(
+            f"blind-scan --kind {args.kind} needs --n >= {max(k, 1)}, got --n {n}"
+        )
+    if n > BLIND_SCAN_CAP:
+        raise ResourceLimitError(
+            f"blind-scan capped at n={BLIND_SCAN_CAP}, got n={n}, which needs "
+            f"about {n * BLIND_SCAN_ROW_BYTES // 10**6} MB"
+        )
+    numerators, denominator = exact.blind_curve_ktree(k, n)
+    best = numerators.index(max(numerators))
+    # int / int rounds correctly, so each value has float(Fraction)'s bits
+    with _output(args.out) as fh:
+        fh.write("l,expected_cc,is_argmax\n")
+        fh.writelines(
+            f"{l},{num / denominator},{int(l == best)}\n"
+            for l, num in enumerate(numerators)
+        )
     return 0
 
 

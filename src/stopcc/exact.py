@@ -40,27 +40,33 @@ def blind_expectation_tree(n, l):
 
 
 def blind_expectation_ktree(k, n, l):
-    """Exact expected component count of a uniform l-subset of any k-tree.
-
-    Each vertex contributes the probability that it is active while its whole
-    attachment set is inactive; initial-clique vertex number i uses the i-1
-    earlier initial vertices as its attachment set.
-    """
-    if k < 1 or n < k or not 0 <= l <= n:
+    """Exact expected component count of a uniform l-subset of any k-tree."""
+    if not 0 <= l <= n:
         raise ParameterError(f"bad arguments k={k}, n={n}, l={l}")
-    # A vertex with m attachment vertices is a witness with probability
-    # l (n-l)_m / (n)_{m+1}, (x)_m the falling factorial; m = 0..k-1 once
-    # each, m = k for the n-k later vertices.  Summed in integers over the
-    # common denominator (n)_{k+1}, whose last factor n-k is 1 when n == k.
-    falling = [1]  # falling[m] = (n-l)_m
-    for j in range(k):
-        falling.append(falling[-1] * (n - l - j))
-    numerator = (n - k) * falling[k]
-    scale = max(n - k, 1)  # common denominator / (n)_{m+1}, for m = k-1
+    (numerator,), denominator = blind_curve_ktree(k, n, (l,))
+    return Fraction(numerator, denominator)
+
+
+def blind_curve_ktree(k, n, ls=None):
+    """Expected component counts of uniform l-subsets of any n-vertex k-tree
+    for every l of ls (default 0..n): (integer numerators, common denominator).
+
+    A vertex is a witness when it is active and its whole attachment set is
+    not; initial-clique vertex i attaches to the i-1 earlier ones.  With m
+    attachment vertices that has probability l (n-l)_m / (n)_{m+1}, (x)_m the
+    falling factorial; m = 0..k-1 once each, m = k for the n-k later vertices.
+    Over (n)_{k+1}, whose last factor n-k is 1 when n == k, the sum is
+    l * sum_m c_m (n-l)_m, evaluated by Horner's rule from m = k down.
+    """
+    if k < 1 or n < k:
+        raise ParameterError(f"bad arguments k={k}, n={n}")
+    ls = range(n + 1) if ls is None else ls
+    acc = [n - k] * len(ls)  # c_k: the n-k later vertices
+    scale = max(n - k, 1)  # c_m = h_m * (n)_{k+1} / (n)_{m+1} = scale, m < k
     for m in range(k - 1, -1, -1):
-        numerator += falling[m] * scale
+        acc = [scale + (n - m - l) * a for l, a in zip(ls, acc)]
         scale *= n - m
-    return Fraction(l * numerator, scale)
+    return [l * a for l, a in zip(ls, acc)], scale
 
 
 def _adjacency_masks(graph):

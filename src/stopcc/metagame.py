@@ -11,6 +11,8 @@ import numpy as np
 from .errors import ParameterError
 
 _MT_GRID_STEP = 0.001
+# widest k whose argmax 1/(k+1) is not below the first nonzero grid point
+MT_K_MAX = 999
 
 
 def _check_unit(**kwargs):
@@ -53,7 +55,9 @@ def mt_score(alpha, k):
 
 def mt_argmax(k):
     """Argmax of mt_score over the [0,1] grid of step 1/1000 (analytically
-    1/(k+1)), with its value."""
+    1/(k+1)), with its value; k above MT_K_MAX has its argmax off the grid."""
+    if k > MT_K_MAX:
+        raise ParameterError(f"k={k} exceeds {MT_K_MAX}: 1/(k+1) is below the grid step")
     grid = np.arange(0.0, 1.0 + _MT_GRID_STEP / 2, _MT_GRID_STEP)
     vals = mt_score(grid, k)
     best = int(np.argmax(vals))

@@ -210,8 +210,9 @@ def run_strategy(graph, seq, spec, sigma):
 def blind_optimal_threshold(kind, n, k=None):
     """Best fixed stopping count l and its exact expected component count.
 
-    kind "tree": argmax of l(n-l+1)/n.  kind "ktree": argmax over all l of
-    the exact hypergeometric expectation for width k.
+    kind "tree": argmax of l(n-l+1)/n, one of the two middle counts.  kind
+    "ktree": the first argmax over every l of the exact witness curve of
+    width k, compared in integers over its common denominator.
     """
     from . import exact  # deferred: exact imports this module
 
@@ -224,29 +225,9 @@ def blind_optimal_threshold(kind, n, k=None):
     if kind == "ktree":
         if k is None or k < 1 or n < k + 1:
             raise ParameterError("ktree kind needs k >= 1 and n >= k+1")
-        if n <= 2000:
-            ls = range(n + 1)
-        else:
-            # float prescan to locate the peak, exact confirmation nearby
-            import numpy as np
-
-            l_arr = np.arange(1, n + 1, dtype=float)
-            log_val = np.zeros(n)
-            ok = np.ones(n, dtype=bool)
-            for j in range(k):
-                f = (n - l_arr - j) / (n - j)
-                ok &= f > 0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    log_val += np.where(ok, np.log(np.maximum(f, 1e-300)), -np.inf)
-            log_val += np.log(l_arr) - math.log(n - k)
-            guess = int(l_arr[int(np.argmax(log_val))])
-            ls = range(max(0, guess - 50), min(n, guess + 50) + 1)
-        best_l, best_v = 0, Fraction(0)
-        for l in ls:
-            v = exact.blind_expectation_ktree(k, n, l)
-            if v > best_v:
-                best_l, best_v = l, v
-        return best_l, best_v
+        numerators, denominator = exact.blind_curve_ktree(k, n)
+        best = numerators.index(max(numerators))
+        return best, Fraction(numerators[best], denominator)
     raise ParameterError(f"unknown kind {kind!r}; expected 'tree' or 'ktree'")
 
 

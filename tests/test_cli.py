@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stopcc import cli, graphs, metagame
+from stopcc import cli, exact, graphs, metagame
 
 
 def _run(capsys, *argv):
@@ -64,6 +64,46 @@ def test_blind_scan_csv(capsys):
     assert len(lines) == 7
     argmax_rows = [line for line in lines[1:] if line.endswith(",1")]
     assert argmax_rows == ["3,1.8,1"]
+
+
+def _expected_csv(value, n):
+    values = [value(l) for l in range(n + 1)]
+    best = values.index(max(values))
+    return "l,expected_cc,is_argmax\n" + "".join(
+        f"{l},{float(v)},{int(l == best)}\n" for l, v in enumerate(values)
+    )
+
+
+def test_blind_scan_rows_match_fraction_closed_forms(capsys):
+    # every row is float() of the Fraction closed form, and the flag marks
+    # the first exact maximum
+    for k in range(1, 5):
+        for n in range(k, 41):
+            code, out, _ = _run(capsys, "blind-scan", "--kind", "ktree",
+                                "--k", str(k), "--n", str(n))
+            assert code == 0
+            assert out == _expected_csv(
+                lambda l: exact.blind_expectation_ktree(k, n, l), n), (k, n)
+    for n in range(1, 41):
+        code, out, _ = _run(capsys, "blind-scan", "--kind", "tree", "--n", str(n))
+        assert code == 0
+        assert out == _expected_csv(lambda l: exact.blind_expectation_tree(n, l), n), n
+        _, width_one, _ = _run(capsys, "blind-scan", "--kind", "ktree",
+                               "--k", "1", "--n", str(n))
+        assert width_one == out, n
+    code, out, err = _run(capsys, "blind-scan", "--kind", "ktree", "--k", "0", "--n", "5")
+    assert code == cli.EXIT_USAGE and out == "" and err.startswith("stopcc:")
+
+
+def test_blind_scan_cap_exits_before_any_work(monkeypatch, capsys):
+    def no_curve(*args):
+        raise AssertionError("the curve was built above the cap")
+
+    monkeypatch.setattr(exact, "blind_curve_ktree", no_curve)
+    for argv in (["--kind", "tree"], ["--kind", "ktree", "--k", "2"]):
+        code, out, err = _run(capsys, "blind-scan", *argv, "--n", "1000001")
+        assert code == cli.EXIT_RESOURCE and out == "", argv
+        assert "n=1000001" in err and "n=1000000" in err and "MB" in err
 
 
 def test_blind_scan_ktree_needs_k(capsys):
@@ -149,6 +189,16 @@ def test_missing_and_malformed_files_exit_io(tmp_path, capsys):
     code, _, err = _run(capsys, "run", "--seq-file", str(bad),
                         "--strategy", "greedy", "--mode", "mc")
     assert code == cli.EXIT_IO and "bad.txt" in err
+    # every --out and --seq-out goes through one writer
+    missing = str(tmp_path / "no-such-dir" / "out.txt")
+    for argv in (["generate", "ktree", "--k", "2", "--n", "5", "-o", missing],
+                 ["generate", "family", "--name", "star", "--n", "3", "-o", missing],
+                 ["generate", "family", "--name", "star", "--n", "3",
+                  "-o", str(tmp_path / "g.txt"), "--seq-out", missing],
+                 ["blind-scan", "--kind", "tree", "--n", "5", "-o", missing],
+                 ["metagame", "phi-max", "-o", missing]):
+        code, out, err = _run(capsys, *argv)
+        assert code == cli.EXIT_IO and out == "" and "no-such-dir" in err, argv
 
 
 def test_concentration_report(capsys):
@@ -187,6 +237,13 @@ def test_metagame_mt_argmax(capsys):
         code, out, err = _run(capsys, "metagame", "mt-argmax", "--k", k)
         assert code == cli.EXIT_USAGE and out == ""
         assert err.startswith("stopcc:") and f"k={k}" in err
+    # the step-1/1000 grid holds 1/(k+1) only up to k = 999
+    for k in ("1000", "200000"):
+        code, out, err = _run(capsys, "metagame", "mt-argmax", "--k", k)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("stopcc:") and f"k={k}" in err and "999" in err
+    code, out, _ = _run(capsys, "metagame", "mt-argmax", "--k", "999")
+    assert code == 0 and json.loads(out)["argmax_alpha"] == 0.001
 
 
 def test_metagame_phi_max(capsys):

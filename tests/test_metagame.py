@@ -43,6 +43,8 @@ def test_mt_score_values_and_checks():
         metagame.mt_score(2.0, 1)
     with pytest.raises(ParameterError):
         metagame.mt_argmax(-1)
+    with pytest.raises(ParameterError, match="k=1000"):
+        metagame.mt_argmax(1000)
 
 
 def test_mt_argmax_small_widths():

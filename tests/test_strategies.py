@@ -155,15 +155,26 @@ def test_blind_optimal_threshold_tree():
 
 
 def test_blind_optimal_threshold_ktree_small_and_prescan():
+    def exhaustive(k, n):
+        values = [exact.blind_expectation_ktree(k, n, x) for x in range(n + 1)]
+        best = max(values)
+        return values.index(best), best
+
     l, v = blind_optimal_threshold("ktree", 9, k=2)
     assert v == max(exact.blind_expectation_ktree(2, 9, x) for x in range(10))
-    # the float prescan tier must agree with an exhaustive exact scan
+    # one integer argmax over every l, on both sides of n = 2000, where a
+    # float prescan with a +-50 exact window once took over
+    for k in range(1, 5):
+        for n in [*range(k + 1, 61), 1999, 2000, 2001]:
+            assert blind_optimal_threshold("ktree", n, k=k) == exhaustive(k, n), (k, n)
     n = 2500
     l_fast, v_fast = blind_optimal_threshold("ktree", n, k=2)
     v_slow = max(exact.blind_expectation_ktree(2, n, x) for x in range(n + 1))
     assert v_fast == v_slow
     with pytest.raises(ParameterError):
         blind_optimal_threshold("ktree", 9)
+    with pytest.raises(ParameterError):
+        blind_optimal_threshold("ktree", 3, k=3)
     with pytest.raises(ParameterError):
         blind_optimal_threshold("mystery", 9)
 
