@@ -283,3 +283,36 @@ def component_count(graph, prefix):
     component_count_trace(graph, prefix), without the rest of the trace."""
     t = len(prefix)
     return t - int(np.count_nonzero(_merge_times(graph, prefix) <= t))
+
+
+def nbr_sum_trace(graph, sigma):
+    """Component-neighbourhood sum after each arrival of sigma, a permutation,
+    on a chordal graph: an int64 array of length n+1 whose entry t is the
+    nbr_sum of the first t arrivals.  UsageError if the graph is not chordal.
+
+    In graph.elimination_arcs' order each vertex's earlier neighbours K_v
+    form a clique.  The active components next to an inactive w are then the
+    components of G[N(w) & S], each counted once at its first vertex in the
+    order.  Per vertex v, with a_v its arrival, d_v = |K_v| and f_v the
+    first arrival in K_v (never if K_v is empty), that leaves
+      - d_v from a_v to f_v, if a_v < f_v: v alone starts a component next
+        to each w in K_v;
+      - 1 from f_v to a_v, if f_v < a_v: the first active vertex of K_v
+        starts one next to v.
+    So nbr_sum is one cumulative sum of events at the a_v and f_v.
+    """
+    arcs = graph.elimination_arcs
+    if arcs is None:
+        raise UsageError("nbr_sum_trace needs a chordal graph")
+    later, earlier, depth = arcs
+    n = graph.n
+    arrival = np.empty(n, dtype=np.int32)
+    arrival[sigma] = np.arange(1, n + 1, dtype=np.int32)
+    first = np.full(n, n + 1, dtype=np.int32)
+    np.minimum.at(first, later, arrival[earlier])
+    alone = arrival < first  # v arrives before all of K_v
+    events = np.zeros(n + 2, dtype=np.int64)
+    events[arrival] = np.where(alone, depth, -1)
+    # exact in float64: every count is at most 2m
+    events += np.bincount(first, np.where(alone, -depth, 1), minlength=n + 2).astype(np.int64)
+    return np.cumsum(events[: n + 1])

@@ -30,6 +30,10 @@ EXIT_IO = 4
 
 BLIND_SCAN_CAP = 10**6
 BLIND_SCAN_ROW_BYTES = 190  # peak memory per curve row, estimated high
+# a replication costs 40-90 us on a one-vertex path (2-core x86), so the cap
+# admits runs of minutes even there; the scores, kept as one Python number
+# each until the estimate, stay under about 0.5 GB
+REPS_CAP = 10**7
 
 
 def _default_threads():
@@ -129,6 +133,19 @@ def _add_estimator_flags(sub):
                           "replications run in index order on one thread")
 
 
+def _estimator_config(args):
+    """The estimator settings of run and concentration, checked before any
+    instance is built."""
+    if args.reps > REPS_CAP:
+        raise ParameterError(f"--reps is capped at {REPS_CAP}, got {args.reps}")
+    return montecarlo.EstimatorConfig(
+        replications=args.reps,
+        seed=args.seed,
+        ci_level=args.ci_level,
+        threads=args.threads,
+    )
+
+
 def cmd_generate(args):
     if args.kind == "ktree":
         if args.k is None or args.n is None:
@@ -180,12 +197,7 @@ def cmd_blind_scan(args):
 def cmd_run(args):
     started = time.time()
     # validated in every mode, so a bad value never reaches the report
-    cfg = montecarlo.EstimatorConfig(
-        replications=args.reps,
-        seed=args.seed,
-        ci_level=args.ci_level,
-        threads=args.threads,
-    )
+    cfg = _estimator_config(args)
     g, seq, descriptor = _build_instance(args)
     specs = [strategies.parse_strategy(text) for text in args.strategy]
     results = []
@@ -249,6 +261,7 @@ def cmd_run(args):
 
 def cmd_concentration(args):
     started = time.time()
+    cfg = _estimator_config(args)
     g, _, descriptor = _build_instance(args)
     if g.n == 0:
         raise ParameterError("concentration needs an instance with at least one vertex")
@@ -258,10 +271,6 @@ def cmd_concentration(args):
     alpha = float(alpha_exact)
     eps = float(Fraction(args.epsilon))
     threshold = (alpha - alpha**2 * beta) * g.n + 0.3 * eps * g.n
-    cfg = montecarlo.EstimatorConfig(
-        replications=args.reps, seed=args.seed, ci_level=args.ci_level,
-        threads=args.threads,
-    )
     est = montecarlo.estimate_tail(g, alpha_exact, threshold, cfg)
     report = {
         "tool": "stopcc",

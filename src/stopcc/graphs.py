@@ -104,6 +104,42 @@ class Graph:
         )
         return c
 
+    @cached_property
+    def elimination_arcs(self):
+        """(later, earlier, depth) of a chordal graph; None if the graph is
+        not chordal.  Built once per graph, on first use.
+
+        Vertices are ranked by maximum cardinality search (Tarjan &
+        Yannakakis, SIAM J. Comput. 13 (1984) 566).  Arc i runs from
+        later[i] to earlier[i], its endpoint of lower rank; the int32 arrays
+        are sorted by later vertex, and depth[v] counts v's earlier
+        neighbours K_v.  The graph is chordal iff every K_v is a clique,
+        which holds iff each member of K_v is adjacent to the latest one,
+        p(v), or is p(v).
+        """
+        n = self.n
+        rank = np.empty(n, dtype=np.int32)
+        rank[_mcs_order(self.adj)] = np.arange(n, dtype=np.int32)
+        eu, ev = self.edge_arrays
+        u_later = rank[eu] > rank[ev]
+        later = np.where(u_later, eu, ev)
+        earlier = np.where(u_later, ev, eu)
+        # by later vertex, then by the rank of the earlier one: p(v) ends v's run
+        arcs = np.lexsort((rank[earlier], later))
+        later, earlier = later[arcs], earlier[arcs]
+        depth = np.bincount(later, minlength=n).astype(np.int32)
+        p = earlier[np.cumsum(depth, dtype=np.int64)[later] - 1]
+        other = earlier != p
+        a, b = earlier[other], p[other]
+        keys = eu.astype(np.int64) * n + ev  # sorted: edge_arrays is lexicographic
+        wanted = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+        at = np.searchsorted(keys, wanted)
+        if not np.array_equal(keys[np.minimum(at, len(keys) - 1)], wanted):
+            return None
+        for x in (later, earlier, depth):
+            x.flags.writeable = False  # shared by every caller
+        return later, earlier, depth
+
     def is_forest(self):
         """True iff the graph is acyclic: every edge joins two components,
         so m = n - c."""
@@ -198,6 +234,44 @@ class KSystem:
             if not all(0 <= w < self.ground_size for w in m | {v}):
                 raise ValidationError(f"pair for vertex {v} leaves the ground set")
             seen.add(v)
+
+
+def _mcs_order(adj):
+    """The vertices in maximum cardinality search order: each next vertex has
+    the most visited neighbours, and a new component starts at its lowest
+    unvisited id.  Buckets of vertices by that count keep stale entries,
+    skipped when popped, so the search takes O(n + m) steps; with no
+    per-vertex containers it stays lean on large graphs."""
+    weight = [0] * len(adj)  # visited neighbours; -1 once visited
+    buckets = [[]]  # buckets[w]: vertices that had weight w when listed
+    order = []
+    top = start = 0
+    for _ in range(len(adj)):
+        while True:
+            if top:
+                if not buckets[top]:
+                    top -= 1
+                    continue
+                v = buckets[top].pop()
+                if weight[v] == top:
+                    break
+            else:  # every unvisited vertex has weight 0
+                while weight[start] < 0:
+                    start += 1
+                v = start
+                break
+        weight[v] = -1
+        order.append(v)
+        for u in adj[v]:
+            w = weight[u]
+            if w >= 0:
+                weight[u] = w = w + 1
+                if w == len(buckets):
+                    buckets.append([u])
+                else:
+                    buckets[w].append(u)
+        top = min(top + 1, len(buckets) - 1)
+    return order
 
 
 def _first_bad_edge(n, u, v):

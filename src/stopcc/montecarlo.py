@@ -23,8 +23,9 @@ class EstimatorConfig:
     """Replication count, master seed and confidence level of one estimate.
 
     threads is validated (>= 1) but selects nothing: replications always
-    run in index order on one thread, because the rules are pure Python and
-    more threads under the interpreter lock ran slower.
+    run in index order on one thread.  Scoring holds the interpreter lock
+    for most of its time, in Python steps (dp, greedy off chordal graphs) or
+    between short NumPy calls, and more threads ran slower.
     """
 
     replications: int

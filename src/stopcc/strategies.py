@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .activation import ActivationState, check_permutation, component_count
+import numpy as np
+
+from .activation import ActivationState, check_permutation, component_count, nbr_sum_trace
 from .errors import ParameterError, UsageError, ValidationError
 
 CONTINUE = "continue"
@@ -182,11 +184,23 @@ def decide(spec, view, seq=None):
     return STOP if t >= position_stop_time(spec, n, triggered) else CONTINUE
 
 
+def _greedy_stop_time(spec, graph, sigma):
+    """Stop time of a greedy rule on the order sigma of a chordal graph, read
+    off the whole nbr_sum trace: the first t in 1..n-1 where the margin
+    n - t - nbr_sum, as in decide's greedy branch, turns negative (or zero
+    for greedy:strict), otherwise n."""
+    n = graph.n
+    margin = np.arange(n, -1, -1) - nbr_sum_trace(graph, sigma)
+    stops = margin[1:n] <= 0 if spec.strict_gain else margin[1:n] < 0
+    return int(stops.argmax()) + 1 if stops.any() else n
+
+
 def run_strategy(graph, seq, spec, sigma):
     """Score one order: returns (stop_time, component count at stop).
 
-    Blind, two-phase and fixed-time rules take position_stop_time and read
-    the count from the arrival-time kernel on that prefix.  Greedy and dp
+    Blind, two-phase and fixed-time rules take position_stop_time, and greedy
+    on a chordal graph takes _greedy_stop_time; both read the count from the
+    arrival-time kernel on that prefix.  Dp, and greedy on any other graph,
     are consulted after each arrival of sigma through the activation engine.
     """
     sigma = check_permutation(sigma, graph.n)
@@ -196,6 +210,8 @@ def run_strategy(graph, seq, spec, sigma):
     t = position_stop_time(
         spec, n, lambda a: not _trigger_set(spec, seq, n).isdisjoint(sigma[:a].tolist())
     )
+    if spec.kind == "greedy_gain" and graph.elimination_arcs is not None:
+        t = _greedy_stop_time(spec, graph, sigma)
     if t is not None:
         return t, component_count(graph, sigma[:t])
     state = ActivationState(graph)

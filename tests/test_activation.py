@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stopcc import exact, graphs
 from stopcc.activation import (
@@ -12,6 +13,7 @@ from stopcc.activation import (
     check_permutation,
     component_count,
     component_count_trace,
+    nbr_sum_trace,
     run_permutation,
 )
 from stopcc.errors import UsageError, ValidationError
@@ -181,3 +183,37 @@ def test_large_graph_skips_mask_but_keeps_counts():
         state.activate(v)
     assert state.cc == state.recount_cc()
     assert state.nbr_sum == state.recount_nbr_sum()
+
+
+@st.composite
+def chordal_graphs_with_orders(draw):
+    # every chordal graph arises so, up to labels: vertex i joins a subset of
+    # the clique {j} + (j's attachment) of some earlier j (any subset of a
+    # clique in a reversed perfect elimination order lies in such a clique)
+    n = draw(st.integers(0, 12))
+    closed, edges = [], []
+    for i in range(n):
+        attach = []
+        if i:
+            j = draw(st.integers(0, i - 1))
+            attach = [u for u in closed[j] if draw(st.booleans())]
+        closed.append([i, *attach])
+        edges += [(u, i) for u in attach]
+    label = draw(st.permutations(range(n)))
+    g = Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+    return g, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(chordal_graphs_with_orders())
+def test_nbr_sum_trace_matches_the_engine_on_chordal_graphs(case):
+    g, sigma = case
+    assert g.elimination_arcs is not None
+    assert nbr_sum_trace(g, sigma).tolist() == \
+        [s.nbr_sum for s in run_permutation(g, None, sigma)]
+
+
+def test_nbr_sum_trace_needs_a_chordal_graph():
+    cycle = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    with pytest.raises(UsageError, match="chordal"):
+        nbr_sum_trace(cycle, [0, 1, 2, 3])

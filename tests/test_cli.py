@@ -106,6 +106,24 @@ def test_blind_scan_cap_exits_before_any_work(monkeypatch, capsys):
         assert "n=1000001" in err and "n=1000000" in err and "MB" in err
 
 
+def test_reps_cap_exits_usage_before_any_work(monkeypatch, capsys):
+    def no_instance(*args):
+        raise AssertionError("an instance was built above the cap")
+
+    monkeypatch.setattr(graphs, "gen_named_family", no_instance)
+    for argv in (["run", "--strategy", "greedy", "--mode", "mc"],
+                 ["run", "--strategy", "greedy", "--mode", "exact"],
+                 ["concentration", "--alpha", "1/2", "--epsilon", "0.3"]):
+        code, out, err = _run(capsys, *argv, "--family", "path", "--n", "3",
+                              "--reps", str(cli.REPS_CAP + 1))
+        assert code == cli.EXIT_USAGE and out == "", argv
+        assert err.startswith("stopcc:") and str(cli.REPS_CAP) in err, argv
+    monkeypatch.undo()
+    code, out, _ = _run(capsys, "run", "--family", "path", "--n", "3", "--strategy",
+                        "greedy", "--mode", "exact", "--reps", str(cli.REPS_CAP))
+    assert code == 0 and json.loads(out)["config"]["reps"] == cli.REPS_CAP
+
+
 def test_blind_scan_ktree_needs_k(capsys):
     code, _, err = _run(capsys, "blind-scan", "--kind", "ktree", "--n", "9")
     assert code == cli.EXIT_USAGE and "--k" in err

@@ -429,3 +429,71 @@ def test_random_tree_edges_match_prufer_degrees():
         degrees = sorted(len(a) for a in g.adj)
         assert sum(degrees) == 2 * (n - 1)
         assert degrees[0] >= 1
+
+
+def _chordal_by_elimination(g):
+    # the oracle: a graph is chordal iff deleting simplicial vertices, whose
+    # remaining neighbours are pairwise adjacent, one at a time empties it
+    left = set(range(g.n))
+    while left:
+        for v in left:
+            nbrs = [u for u in g.adj[v] if u in left]
+            if all(g.has_edge(a, b) for a, b in itertools.combinations(nbrs, 2)):
+                left.remove(v)
+                break
+        else:
+            return False
+    return True
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _check_elimination_arcs(g):
+    later, earlier, depth = g.elimination_arcs
+    assert sorted(map(tuple, np.sort(np.stack((later, earlier), 1), 1).tolist())) == g.edges()
+    assert depth.tolist() == np.bincount(later, minlength=g.n).tolist()
+    assert np.all(later[1:] >= later[:-1])
+    earlier_of = [earlier[later == v].tolist() for v in range(g.n)]
+    for ks in earlier_of:  # each K_v is a clique
+        assert all(g.has_edge(a, b) for a, b in itertools.combinations(ks, 2))
+    placed = set()  # and the arcs point back along one order
+    while len(placed) < g.n:
+        v = next(v for v in range(g.n) if v not in placed and placed >= set(earlier_of[v]))
+        placed.add(v)
+
+
+def test_elimination_arcs_decide_chordality_like_the_elimination_oracle():
+    rng = random.Random(8)
+    chordal = [Graph.from_edges(0, []), Graph.from_edges(1, []),
+               Graph.from_edges(7, [(0, 1), (1, 2), (4, 5)])]
+    for k in range(1, 5):
+        for n in (k, k + 1, 7, 10):
+            seq = graphs.gen_random_ktree(k, n, seed=n)
+            chordal.append(_relabel(graphs.graph_from_construction(seq), rng))
+    chordal.append(graphs.gen_named_family("k_star", {"k": 3, "n": 9})[0])
+    chordal.append(graphs.gen_named_family(
+        "two_star_plus_star", {"n": 9, "ratio": Fraction(2, 3)})[0])
+    cycle = lambda n: Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    not_chordal = [cycle(4), cycle(6), graphs.gen_named_family("grid", {"d": 2, "side": 3})[0]]
+    for g in chordal + not_chordal:
+        assert _chordal_by_elimination(g) == (g in chordal)
+        assert (g.elimination_arcs is not None) == (g in chordal)
+    for g in chordal:
+        _check_elimination_arcs(g)
+    # random 2-degenerate and random graphs, decided by the oracle
+    found = set()
+    for seed in range(40):
+        g = graphs.graph_from_construction(graphs.gen_random_kdegenerate(2, 8, seed))
+        pairs = list(itertools.combinations(range(7), 2))
+        h = Graph.from_edges(7, [p for p in pairs if rng.random() < 0.4])
+        for x in (g, h):
+            is_chordal = _chordal_by_elimination(x)
+            assert (x.elimination_arcs is not None) == is_chordal
+            if is_chordal:
+                _check_elimination_arcs(x)
+            found.add(is_chordal)
+    assert found == {True, False}

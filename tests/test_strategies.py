@@ -275,6 +275,8 @@ def test_run_strategy_position_rules_match_per_step_rule():
         fixed_permutation_oracle(0),
         fixed_permutation_oracle(3),
         fixed_permutation_oracle(n + 1),
+        greedy_gain(),
+        greedy_gain(strict=True),
     ]
     for alpha, gamma in itertools.combinations_with_replacement(fractions, 2):
         for trigger in ("initial_clique", frozenset([0]), frozenset(range(n))):
@@ -299,9 +301,55 @@ def test_run_strategy_position_rules_match_per_step_rule():
         run_strategy(_path(n), None, two_phase(Fraction(5, 6), 1, "initial_clique"),
                      list(range(n)))
     _, seq = graphs.gen_named_family("path", {"n": n - 1})
-    for spec in specs + [greedy_gain()]:
+    for spec in specs:
         with pytest.raises(ValidationError, match="vertex count"):
             run_strategy(_path(n), seq, spec, list(range(n)))
+
+
+def test_greedy_on_chordal_graphs_matches_per_step_rule():
+    # seeded orders on graphs large enough for long greedy runs
+    instances = [
+        graphs.graph_from_construction(graphs.gen_random_ktree(k, n, seed))
+        for k in (1, 2, 3) for n, seed in ((k + 1, 1), (12, 2), (60, 3), (300, 4))
+    ]
+    instances.append(graphs.gen_named_family(
+        "two_star_plus_star", {"n": 60, "ratio": Fraction(2, 3)})[0])
+    specs = [greedy_gain(), greedy_gain(strict=True)]
+    rng = np.random.default_rng(12)
+    for g in instances:
+        assert g.elimination_arcs is not None
+        for _ in range(8):
+            sigma = rng.permutation(g.n)
+            scores = [run_strategy(g, None, spec, sigma) for spec in specs]
+            assert scores == _per_step(g, None, specs, sigma)
+
+
+def test_greedy_takes_the_trace_on_chordal_graphs_only(monkeypatch):
+    played = []
+
+    class CountingState(ActivationState):
+        def activate(self, v):
+            played.append(v)
+            return super().activate(v)
+
+    monkeypatch.setattr(strategies, "ActivationState", CountingState)
+    traced = []
+    real_trace = strategies.nbr_sum_trace
+    monkeypatch.setattr(strategies, "nbr_sum_trace",
+                        lambda g, sigma: traced.append(g) or real_trace(g, sigma))
+    n = 6
+    chordal = _path(n)
+    cycle = Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    grid, _ = graphs.gen_named_family("grid", {"d": 2, "side": 3})
+    for g in (chordal, cycle, grid):
+        played.clear()
+        traced.clear()
+        run_strategy(g, None, greedy_gain(), list(range(g.n)))
+        assert (traced, bool(played)) == (([g], False) if g is chordal else ([], True))
+    played.clear()
+    table = exact.solve_dp(chordal, exact=True)
+    run_strategy(chordal, None, dp_optimal(table), list(range(n)))
+    assert played and traced == []
 
 
 def test_blind_runs_are_permutation_prefix_functions():
