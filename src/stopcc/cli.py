@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -62,9 +62,22 @@ def _output(path):
         yield sys.stdout
 
 
-def _emit(payload, out_path):
+def _emit(payload, out_path, started=None):
+    """Write a JSON report in the one envelope: tool and version always,
+    wall_clock_s since started when given."""
+    report = {"tool": "stopcc", "version": __version__, **payload}
+    if started is not None:
+        report["wall_clock_s"] = time.time() - started
     with _output(out_path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+def _estimate_fields(est, tail=False):
+    """An Estimate as a report block; only tail estimates carry zero_hit_upper."""
+    fields = dataclasses.asdict(est)
+    if not tail:
+        del fields["zero_hit_upper"]
+    return fields
 
 
 def _family_params(family, args):
@@ -77,7 +90,7 @@ def _family_params(family, args):
     if family == "random_tree":
         params["seed"] = args.seed
     if args.ratio is not None and family == "two_star_plus_star":
-        params["ratio"] = Fraction(args.ratio)
+        params["ratio"] = strategies._parse_fraction(args.ratio)
     return params
 
 
@@ -200,20 +213,22 @@ def cmd_run(args):
     cfg = _estimator_config(args)
     g, seq, descriptor = _build_instance(args)
     specs = [strategies.parse_strategy(text) for text in args.strategy]
+    if args.mode == "exact" and g.n > exact.PERM_CAP:
+        raise ResourceLimitError(
+            f"exact mode enumerates n! permutations and is capped at "
+            f"n={exact.PERM_CAP}; instance has n={g.n}"
+        )
+    if args.mode == "dp" or any(spec.kind == "dp_optimal" for spec in specs):
+        # below the exact tier's cap both tiers give the same stop flags
+        table = exact.solve_dp(g, exact=g.n <= exact.DP_EXACT_CAP)
+        specs = [strategies.dp_optimal(table) if spec.kind == "dp_optimal" else spec
+                 for spec in specs]
     results = []
     if args.mode == "exact":
-        if g.n > exact.PERM_CAP:
-            raise ResourceLimitError(
-                f"exact mode enumerates n! permutations and is capped at "
-                f"n={exact.PERM_CAP}; instance has n={g.n}"
-            )
         for text, spec in zip(args.strategy, specs):
-            if spec.kind == "dp_optimal" and spec.table is None:
-                spec = strategies.dp_optimal(exact.solve_dp(g, exact=True))
             value = exact.brute_force_strategy_value(g, seq, spec)
             results.append({"strategy": text, "mode": "exact", **_rational(value)})
     elif args.mode == "dp":
-        table = exact.solve_dp(g, exact=g.n <= exact.DP_EXACT_CAP)
         value = table.root_value
         results.append(
             {
@@ -225,24 +240,9 @@ def cmd_run(args):
         )
     else:  # mc
         for text, spec in zip(args.strategy, specs):
-            if spec.kind == "dp_optimal" and spec.table is None:
-                spec = strategies.dp_optimal(exact.solve_dp(g, exact=False))
             est = montecarlo.estimate_strategy(g, seq, spec, cfg)
-            results.append(
-                {
-                    "strategy": text,
-                    "mode": "mc",
-                    "mean": est.mean,
-                    "std_error": est.std_error,
-                    "ci_low": est.ci_low,
-                    "ci_high": est.ci_high,
-                    "replications": est.replications,
-                    "seed": est.seed,
-                }
-            )
+            results.append({"strategy": text, "mode": "mc", **_estimate_fields(est)})
     report = {
-        "tool": "stopcc",
-        "version": __version__,
         "instance": descriptor,
         "strategies": args.strategy,
         "mode": args.mode,
@@ -253,46 +253,34 @@ def cmd_run(args):
             "threads": args.threads,
         },
         "results": results,
-        "wall_clock_s": time.time() - started,
     }
-    _emit(report, args.out)
+    _emit(report, args.out, started)
     return 0
 
 
 def cmd_concentration(args):
     started = time.time()
     cfg = _estimator_config(args)
+    # the exact fraction sets the prefix length; floats serve the threshold
+    alpha_exact = strategies._parse_fraction(args.alpha)
+    alpha = float(alpha_exact)
+    eps = float(strategies._parse_fraction(args.epsilon))
     g, _, descriptor = _build_instance(args)
     if g.n == 0:
         raise ParameterError("concentration needs an instance with at least one vertex")
     beta = g.edge_count / g.n
-    # the exact fraction sets the prefix length; floats serve the threshold
-    alpha_exact = Fraction(args.alpha)
-    alpha = float(alpha_exact)
-    eps = float(Fraction(args.epsilon))
     threshold = (alpha - alpha**2 * beta) * g.n + 0.3 * eps * g.n
     est = montecarlo.estimate_tail(g, alpha_exact, threshold, cfg)
     report = {
-        "tool": "stopcc",
-        "version": __version__,
         "instance": descriptor,
         "alpha": alpha,
         "epsilon": eps,
         "beta": beta,
         "threshold": threshold,
         "tail_bound": eps**3 / 2000,
-        "tail_estimate": {
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "ci_low": est.ci_low,
-            "ci_high": est.ci_high,
-            "zero_hit_upper": est.zero_hit_upper,
-            "replications": est.replications,
-            "seed": est.seed,
-        },
-        "wall_clock_s": time.time() - started,
+        "tail_estimate": _estimate_fields(est, tail=True),
     }
-    _emit(report, args.out)
+    _emit(report, args.out, started)
     return 0
 
 
@@ -300,8 +288,6 @@ def cmd_metagame(args):
     if args.sub == "phi-max":
         result = metagame.maximize_phi()
         report = {
-            "tool": "stopcc",
-            "version": __version__,
             "max_value": result.max_value,
             "max_value_str": f"{result.max_value:.9f}",
             "maximizers": [list(pt) for pt in result.maximizers[:20]],
@@ -311,8 +297,6 @@ def cmd_metagame(args):
             raise UsageError("metagame mt-argmax needs --k")
         alpha, value = metagame.mt_argmax(args.k)
         report = {
-            "tool": "stopcc",
-            "version": __version__,
             "k": args.k,
             "argmax_alpha": alpha,
             "max_value": value,

@@ -384,13 +384,6 @@ def gen_random_kdegenerate(k, n, seed):
     return ConstructionSequence(k, tuple(order))
 
 
-def _path_sequence(vertices):
-    order = [(vertices[0], frozenset())]
-    for prev, v in zip(vertices, vertices[1:]):
-        order.append((v, frozenset([prev])))
-    return order
-
-
 def _random_tree_edges(n, rng):
     """Uniform labeled tree via Pruefer decoding."""
     if n == 1:
@@ -415,16 +408,17 @@ def _random_tree_edges(n, rng):
     return edges
 
 
-def _tree_sequence_from_edges(n, edges):
-    """BFS ordering of a tree, as a width-1 construction sequence."""
+def _tree_family(n, edges, root=0):
+    """A tree on n vertices and its width-1 construction sequence: the BFS
+    order from root, neighbours in edge order."""
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    order = [(0, frozenset())]
+    order = [(root, frozenset())]
     seen = bytearray(n)
-    seen[0] = 1
-    queue = [0]
+    seen[root] = 1
+    queue = [root]
     while queue:
         nxt = []
         for u in queue:
@@ -434,7 +428,7 @@ def _tree_sequence_from_edges(n, edges):
                     order.append((w, frozenset([u])))
                     nxt.append(w)
         queue = nxt
-    return ConstructionSequence(1, tuple(order))
+    return Graph.from_edges(n, edges), ConstructionSequence(1, tuple(order))
 
 
 FAMILIES = (
@@ -467,14 +461,11 @@ def gen_named_family(family, params):
     if family == "path":
         n = _require_int(p, "n", 1)
         _reject_extras(family, p)
-        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-        return g, ConstructionSequence(1, _path_sequence(list(range(n))))
+        return _tree_family(n, [(i, i + 1) for i in range(n - 1)])
     if family == "star":
         leaves = _require_int(p, "n", 1)
         _reject_extras(family, p)
-        g = Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-        order = [(0, frozenset())] + [(i, frozenset([0])) for i in range(1, leaves + 1)]
-        return g, ConstructionSequence(1, tuple(order))
+        return _tree_family(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
     if family == "k_star":
         k = _require_int(p, "k", 1)
         n = _require_int(p, "n", k)
@@ -490,17 +481,9 @@ def gen_named_family(family, params):
         # leaves 0..n, center n+1, path vertices n+2..2n
         center = n + 1
         edges = [(center, leaf) for leaf in range(n + 1)]
-        path = list(range(n + 2, 2 * n + 1))
-        if path:
-            edges.append((center, path[0]))
-            edges.extend((a, b) for a, b in zip(path, path[1:]))
-        g = Graph.from_edges(2 * n + 1, edges)
-        order = [(center, frozenset())]
-        order += [(leaf, frozenset([center])) for leaf in range(n + 1)]
-        if path:
-            order.append((path[0], frozenset([center])))
-            order += [(b, frozenset([a])) for a, b in zip(path, path[1:])]
-        return g, ConstructionSequence(1, tuple(order))
+        path = [center, *range(n + 2, 2 * n + 1)]
+        edges.extend(zip(path, path[1:]))
+        return _tree_family(2 * n + 1, edges, root=center)
     if family == "two_star_plus_star":
         n = _require_int(p, "n", 5)
         ratio = p.pop("ratio", Fraction(999, 1000))
@@ -530,8 +513,7 @@ def gen_named_family(family, params):
         seed = p.pop("seed", 0)
         _reject_extras(family, p)
         rng = random.Random(("tree", n, seed).__repr__())
-        edges = _random_tree_edges(n, rng)
-        return Graph.from_edges(n, edges), _tree_sequence_from_edges(n, edges)
+        return _tree_family(n, _random_tree_edges(n, rng))
     if family == "grid":
         d = _require_int(p, "d", 1)
         side = _require_int(p, "side", 1)

@@ -224,27 +224,23 @@ def run_strategy(graph, seq, spec, sigma):
 
 
 def blind_optimal_threshold(kind, n, k=None):
-    """Best fixed stopping count l and its exact expected component count.
-
-    kind "tree": argmax of l(n-l+1)/n, one of the two middle counts.  kind
-    "ktree": the first argmax over every l of the exact witness curve of
-    width k, compared in integers over its common denominator.
+    """Best fixed stopping count l and its exact expected component count:
+    the first argmax over every l of the exact witness curve of width k
+    (k = 1 for kind "tree"), compared in integers over its common denominator.
     """
     from . import exact  # deferred: exact imports this module
 
     if kind == "tree":
         if n < 1:
             raise ParameterError("need n >= 1")
-        candidates = sorted({(n + 1) // 2, (n + 2) // 2})
-        best = max(candidates, key=lambda l: exact.blind_expectation_tree(n, l))
-        return best, exact.blind_expectation_tree(n, best)
-    if kind == "ktree":
-        if k is None or k < 1 or n < k + 1:
-            raise ParameterError("ktree kind needs k >= 1 and n >= k+1")
-        numerators, denominator = exact.blind_curve_ktree(k, n)
-        best = numerators.index(max(numerators))
-        return best, Fraction(numerators[best], denominator)
-    raise ParameterError(f"unknown kind {kind!r}; expected 'tree' or 'ktree'")
+        k = 1  # l(n-l+1)/n is the width-1 curve
+    elif kind != "ktree":
+        raise ParameterError(f"unknown kind {kind!r}; expected 'tree' or 'ktree'")
+    elif k is None or k < 1 or n < k + 1:
+        raise ParameterError("ktree kind needs k >= 1 and n >= k+1")
+    numerators, denominator = exact.blind_curve_ktree(k, n)
+    best = numerators.index(max(numerators))
+    return best, Fraction(numerators[best], denominator)
 
 
 # --- text form used by the CLI -------------------------------------------

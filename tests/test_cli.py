@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stopcc import cli, exact, graphs, metagame
+from stopcc import cli, exact, graphs, metagame, montecarlo, strategies
 
 
 def _run(capsys, *argv):
@@ -181,6 +181,83 @@ def test_run_mc_mode_is_deterministic(tmp_path, capsys):
     r1.pop("wall_clock_s"), r2.pop("wall_clock_s")
     assert r1 == r2
     assert {r["strategy"] for r in r1["results"]} == {"greedy", "blind:alpha=1/3"}
+
+
+def test_mc_dp_estimate_does_not_depend_on_the_tier(capsys):
+    # for n <= DP_EXACT_CAP run binds the exact tier; its stop flags, all
+    # that Monte Carlo reads, equal those of the float tier
+    path, path_seq = graphs.gen_named_family("path", {"n": 10})
+    ktree_seq = graphs.gen_random_ktree(2, 12, 5)
+    grid, _ = graphs.gen_named_family("grid", {"d": 2, "side": 3})
+    instances = (
+        (["--family", "path", "--n", "10"], path, path_seq, 0),
+        (["--ktree", "2", "--n", "12", "--seed", "5"],
+         graphs.graph_from_construction(ktree_seq), ktree_seq, 5),
+        (["--family", "grid", "--d", "2", "--side", "3"], grid, None, 0),
+    )
+    for flags, g, seq, seed in instances:
+        assert g.n <= exact.DP_EXACT_CAP
+        code, out, _ = _run(capsys, "run", *flags, "--strategy", "dp", "--mode", "mc",
+                            "--reps", "300", "--threads", "1")
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        spec = strategies.dp_optimal(exact.solve_dp(g, exact=False))
+        est = montecarlo.estimate_strategy(
+            g, seq, spec, montecarlo.EstimatorConfig(replications=300, seed=seed))
+        fields = ("mean", "std_error", "ci_low", "ci_high")
+        assert [result[f] for f in fields] == [getattr(est, f) for f in fields], flags
+
+
+def test_report_key_sets_are_pinned(capsys):
+    def report(*argv):
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0, argv
+        return json.loads(out)
+
+    path = ("--family", "path", "--n", "4")
+    mc_keys = {"mean", "std_error", "ci_low", "ci_high", "replications", "seed"}
+    expected_results = {
+        "exact": {"strategy", "mode", "exact", "value"},
+        "dp": {"strategy", "mode", "exact", "value", "per_vertex"},
+        "mc": {"strategy", "mode"} | mc_keys,
+    }
+    for mode, result_keys in expected_results.items():
+        r = report("run", *path, "--strategy", "blind:l=2", "--strategy", "dp",
+                   "--mode", mode, "--reps", "5")
+        assert set(r) == {"tool", "version", "instance", "strategies", "mode",
+                          "config", "results", "wall_clock_s"}, mode
+        assert set(r["config"]) == {"reps", "seed", "ci_level", "threads"}, mode
+        assert set(r["instance"]) == {"family", "n", "seed"}, mode
+        assert r["results"] and all(set(x) == result_keys for x in r["results"]), mode
+    r = report("run", "--ktree", "2", "--n", "6", "--strategy", "greedy",
+               "--mode", "mc", "--reps", "5")
+    assert set(r["instance"]) == {"family", "k", "n", "seed"}
+    r = report("concentration", *path, "--alpha", "1/2", "--epsilon", "0.3", "--reps", "5")
+    assert set(r) == {"tool", "version", "instance", "alpha", "epsilon", "beta",
+                      "threshold", "tail_bound", "tail_estimate", "wall_clock_s"}
+    assert set(r["tail_estimate"]) == mc_keys | {"zero_hit_upper"}
+    r = report("metagame", "phi-max")
+    assert set(r) == {"tool", "version", "max_value", "max_value_str", "maximizers"}
+    r = report("metagame", "mt-argmax", "--k", "3")
+    assert set(r) == {"tool", "version", "k", "argmax_alpha", "max_value",
+                      "analytic_alpha", "analytic_value"}
+
+
+def test_fraction_flags_that_divide_by_zero_exit_usage(capsys):
+    cases = (
+        ["concentration", "--family", "path", "--n", "10", "--alpha", "1/0",
+         "--epsilon", "0.3", "--reps", "5"],
+        ["concentration", "--family", "path", "--n", "10", "--alpha", "1/2",
+         "--epsilon", "1/0", "--reps", "5"],
+        ["run", "--family", "two_star_plus_star", "--n", "50", "--ratio", "1/0",
+         "--strategy", "greedy", "--mode", "mc", "--reps", "5"],
+        ["generate", "family", "--name", "two_star_plus_star", "--n", "50",
+         "--ratio", "1/0"],
+    )
+    for argv in cases:
+        code, out, err = _run(capsys, *argv)
+        assert code == cli.EXIT_USAGE and out == "", argv
+        assert err.startswith("stopcc:") and "1/0" in err, argv
 
 
 def test_run_requires_an_instance(capsys):

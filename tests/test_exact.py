@@ -161,6 +161,12 @@ def test_solve_dp_float_matches_exact():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < 0.3]
         cases.append(Graph.from_edges(n, edges))
+    # random G(n, p) up to the cap: the CLI binds the exact tier there, and
+    # Monte Carlo reads only the stop flags
+    for n, p in ((11, 0.15), (11, 0.5), (12, 0.15), (12, 0.3), (12, 0.5)):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < p]
+        cases.append(Graph.from_edges(n, edges))
     for g in cases:
         ft = exact.solve_dp(g, exact=False)
         et = exact.solve_dp(g, exact=True)

@@ -296,6 +296,29 @@ def test_family_star_plus_path_shape():
     assert g.is_forest() and g.is_connected()
 
 
+def _reference_tree_family_orders(n):
+    """Hand-written construction orders of the path, star and star_plus_path
+    families with parameter n, as (vertex, attachment vertex or None) lists."""
+    path = [(0, None)] + [(v, v - 1) for v in range(1, n)]
+    star = [(0, None)] + [(leaf, 0) for leaf in range(1, n + 1)]
+    center = n + 1  # leaves 0..n, then the path n+2..2n hanging off the center
+    spp = [(center, None)] + [(leaf, center) for leaf in range(n + 1)]
+    if n >= 2:
+        spp += [(n + 2, center)] + [(v, v - 1) for v in range(n + 3, 2 * n + 1)]
+    return {"path": path, "star": star, "star_plus_path": spp}
+
+
+def test_tree_family_sequences_are_pinned():
+    for n in range(1, 31):
+        for family, ref in _reference_tree_family_orders(n).items():
+            if family == "star_plus_path" and n < 2:
+                continue
+            _, seq = graphs.gen_named_family(family, {"n": n})
+            expected = tuple((v, frozenset() if m is None else frozenset([m]))
+                             for v, m in ref)
+            assert seq == ConstructionSequence(1, expected), (family, n)
+
+
 def test_family_two_star_plus_star_shape():
     g, seq = graphs.gen_named_family(
         "two_star_plus_star", {"n": 20, "ratio": Fraction(3, 4)})

@@ -148,7 +148,7 @@ def test_blind_optimal_threshold_tree():
     assert blind_optimal_threshold("tree", 5) == (3, Fraction(9, 5))
     l, v = blind_optimal_threshold("tree", 4)
     assert v == Fraction(3, 2) and l in (2, 3)
-    # the two-candidate shortcut agrees with a full scan
+    # the width-1 curve agrees with a full scan of the closed form
     for n in range(1, 31):
         _, v = blind_optimal_threshold("tree", n)
         assert v == max(exact.blind_expectation_tree(n, l) for l in range(n + 1))
