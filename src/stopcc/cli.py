@@ -265,6 +265,8 @@ def cmd_concentration(args):
     alpha_exact = strategies._parse_fraction(args.alpha)
     alpha = float(alpha_exact)
     eps = float(strategies._parse_fraction(args.epsilon))
+    if eps < 0:
+        raise ParameterError(f"--epsilon must be >= 0, got {args.epsilon}")
     g, _, descriptor = _build_instance(args)
     if g.n == 0:
         raise ParameterError("concentration needs an instance with at least one vertex")

@@ -131,7 +131,6 @@ class ValueTable:
     n: int
     values: np.ndarray
     stop: np.ndarray
-    component_counts: np.ndarray
     exact: bool
 
     def value(self, mask):
@@ -259,7 +258,7 @@ def _solve_dp(graph, exact_tier):
             here, cont = cc[layer], acc / (n - t)
         values[layer] = np.maximum(here, cont)
         stop[layer] = here >= cont - tol
-    return ValueTable(n, values, stop, cc, exact=exact_tier)
+    return ValueTable(n, values, stop, exact=exact_tier)
 
 
 def brute_force_strategy_value(graph, seq, spec):

@@ -23,31 +23,43 @@ from scipy.sparse.csgraph import connected_components
 from .errors import ParameterError, ValidationError
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on vertices 0..n-1 with sorted adjacency lists."""
+    """Undirected simple graph on vertices 0..n-1, stored as its edge arrays.
 
-    n: int
-    adj: tuple  # tuple of tuples of neighbor ids
+    ``edge_arrays`` is (eu, ev): read-only int32 arrays with eu[i] < ev[i],
+    one entry per edge in lexicographic order.  ``adj``, the sorted tuples of
+    neighbour ids, is built from them on first use; only the step-by-step
+    consumers read it (ActivationState, maximum cardinality search, the
+    subset DP's masks and has_edge).  Graphs are equal, and hash alike, when
+    they have the same n and the same edges.  A graph is immutable.
+    """
+
+    def __init__(self, n, adj):
+        """The graph with the sorted adjacency tuples ``adj``, taken as they
+        are, unchecked; from_edges is the validating build."""
+        deg = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+        src = np.repeat(np.arange(n, dtype=np.int64), deg)
+        dst = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(deg.sum()))
+        keep = src < dst
+        vars(self).update(n=n, adj=adj, edge_arrays=_edge_arrays(n, src[keep] * n + dst[keep]))
 
     @staticmethod
     def from_edges(n, edges):
         """The graph on vertices 0..n-1 with the given undirected edges.
 
-        ``edges`` is an int (m, 2) array or an iterable of (u, v) pairs.  The
-        adjacency is built with array sorts; ``adj`` holds one shared Python
-        int per vertex id.  ValidationError is raised for an entry that is not
-        a pair of integers, and otherwise for the first edge, in input order,
-        that has an id outside 0..n-1, is a self-loop, or repeats an earlier
-        edge in either direction (the message names the first of these that
-        applies).
+        ``edges`` is an int (m, 2) array or an iterable of (u, v) pairs.  Only
+        the edge arrays are built, from one sort of the edge keys.
+        ValidationError is raised for an entry that is not a pair of
+        integers, and otherwise for the first edge, in input order, that has
+        an id outside 0..n-1, is a self-loop, or repeats an earlier edge in
+        either direction (the message names the first of these that applies).
         """
         if n < 0:
             raise ValidationError("vertex count must be nonnegative")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         pairs = _edge_pairs(edges)
-        i = _first_bad_edge(n, pairs[:, 0], pairs[:, 1])
+        i, keys = _first_bad_edge(n, pairs[:, 0], pairs[:, 1])
         if i >= 0:
             a, b = edges[i]
             if not (0 <= pairs[i, 0] < n and 0 <= pairs[i, 1] < n):
@@ -55,13 +67,39 @@ class Graph:
             if a == b:
                 raise ValidationError(f"self-loop at vertex {a}")
             raise ValidationError(f"duplicate edge ({a},{b})")
-        src, dst = _sorted_arcs(n, pairs[:, 0], pairs[:, 1])
+        g = object.__new__(Graph)
+        vars(g).update(n=n, edge_arrays=_edge_arrays(n, keys))
+        return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Graph")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Graph")
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and all(map(np.array_equal, self.edge_arrays, other.edge_arrays))
+
+    def __hash__(self):
+        return hash((self.n, *(a.tobytes() for a in self.edge_arrays)))
+
+    def __repr__(self):
+        return f"Graph(n={self.n}, edges={self.edges()})"
+
+    @cached_property
+    def adj(self):
+        """Tuple of the sorted neighbour tuples of the vertices, built once,
+        on first use, from one sort of both directions of every edge."""
+        n = self.n
+        src, dst = _sorted_arcs(n, *self.edge_arrays)
         bounds = [0] + np.cumsum(np.bincount(src, minlength=n)).tolist()
         # gathering from one object array shares each vertex's int object
         # across its adjacency entries; tolist() would make a fresh int for
         # every entry
         flat = tuple(np.array(range(n), dtype=object)[dst])
-        return Graph(n, tuple([flat[i:j] for i, j in zip(bounds, bounds[1:])]))
+        return tuple([flat[i:j] for i, j in zip(bounds, bounds[1:])])
 
     @property
     def edge_count(self):
@@ -75,25 +113,6 @@ class Graph:
 
     def has_edge(self, u, v):
         return v in self.adj[u]
-
-    @cached_property
-    def edge_arrays(self):
-        """(eu, ev): int32 arrays with eu[i] < ev[i], one entry per edge in
-        lexicographic order, built once per graph."""
-        deg = np.fromiter(map(len, self.adj), dtype=np.int32, count=self.n)
-        m = int(deg.sum()) // 2
-        # the results are allocated before the temporaries: heap memory freed
-        # below a live array stays resident, which cost about 1 MB of peak
-        # RSS on 10^5-vertex graphs
-        eu = np.empty(m, dtype=np.int32)
-        ev = np.empty(m, dtype=np.int32)
-        src = np.repeat(np.arange(self.n, dtype=np.int32), deg)
-        dst = np.fromiter(chain.from_iterable(self.adj), dtype=np.int32, count=2 * m)
-        keep = src < dst
-        np.compress(keep, src, out=eu)
-        np.compress(keep, dst, out=ev)
-        eu.flags.writeable = ev.flags.writeable = False  # shared by every caller
-        return eu, ev
 
     @cached_property
     def _component_count(self):
@@ -275,8 +294,9 @@ def _mcs_order(adj):
 
 
 def _first_bad_edge(n, u, v):
-    """Index of the first edge (u[i], v[i]) that is out of range, a self-loop
-    or a repeat of an earlier edge in either direction; -1 if there is none."""
+    """(i, keys): i is the index of the first edge (u[i], v[i]) that is out
+    of range, a self-loop or a repeat of an earlier edge in either direction,
+    or -1 if there is none; keys are the edge keys min*n + max, sorted."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     bad = (lo < 0) | (hi >= n) | (u == v)
     # a key equals a valid edge's only for the same edge or for an
@@ -285,12 +305,22 @@ def _first_bad_edge(n, u, v):
     order = np.argsort(key, kind="stable")
     key = key[order]
     bad[order[1:][key[1:] == key[:-1]]] = True
-    return int(bad.argmax()) if bad.any() else -1
+    return (int(bad.argmax()) if bad.any() else -1), key
+
+
+def _edge_arrays(n, keys):
+    """(eu, ev) of the sorted edge keys u*n + v, u < v: read-only int32."""
+    eu = np.empty(len(keys), dtype=np.int32)
+    ev = np.empty(len(keys), dtype=np.int32)
+    np.divmod(keys, n, out=(eu, ev), casting="unsafe")
+    eu.flags.writeable = ev.flags.writeable = False  # shared by every caller
+    return eu, ev
 
 
 def _sorted_arcs(n, u, v):
-    """Both directions of the valid edges (u[i], v[i]) as int64 arrays
-    (source, target), sorted by (source, target)."""
+    """Both directions of the edges (u[i], v[i]) as int64 arrays (source,
+    target), sorted by (source, target)."""
+    u, v = u.astype(np.int64), v.astype(np.int64)
     key = np.concatenate((u * n + v, v * n + u))
     # the same sort as _first_bad_edge's: a process that builds only small
     # graphs then maps in one sort's code, not two

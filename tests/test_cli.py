@@ -320,6 +320,26 @@ def test_concentration_prefix_length_is_exact(capsys):
         assert report["tail_estimate"]["mean"] == 0.0
 
 
+def test_concentration_rejects_negative_epsilon(monkeypatch, capsys):
+    def no_instance(*args):
+        raise AssertionError("an instance was built for a negative epsilon")
+
+    monkeypatch.setattr(graphs, "gen_named_family", no_instance)
+    for eps in ("-1", "-0.001"):
+        code, out, err = _run(capsys, "concentration", "--family", "path", "--n", "10",
+                              "--alpha", "1/2", "--epsilon", eps)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("stopcc:") and "--epsilon" in err and eps in err
+    monkeypatch.undo()
+    for eps in ("0", "0.2178"):
+        code, out, _ = _run(capsys, "concentration", "--family", "path", "--n", "10",
+                            "--alpha", "1/2", "--epsilon", eps, "--reps", "20")
+        assert code == 0
+        report = json.loads(out)
+        assert report["epsilon"] == float(eps)
+        assert report["tail_bound"] == float(eps) ** 3 / 2000 >= 0
+
+
 def test_metagame_mt_argmax(capsys):
     code, out, _ = _run(capsys, "metagame", "mt-argmax", "--k", "3")
     assert code == 0

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stopcc import graphs
 from stopcc.errors import ParameterError, ValidationError
@@ -95,6 +96,50 @@ def test_from_edges_matches_set_based_reference():
             _assert_same_graph(Graph.from_edges(n, iter(edges)), ref)
             array = np.array(edges, dtype=np.int64).reshape(-1, 2)
             _assert_same_graph(Graph.from_edges(n, array), ref)
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, edges): n <= 12 and distinct edges in random order and orientation."""
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_edge_lists())
+def test_from_edges_agrees_with_the_adjacency_constructor(case):
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    ref = _reference_from_edges(n, edges)  # Graph(n, adj)
+    assert g == ref and hash(g) == hash(ref)
+    for a, b in zip(g.edge_arrays, ref.edge_arrays):
+        assert a.dtype == b.dtype == np.int32
+        assert not (a.flags.writeable or b.flags.writeable)
+        assert a.tobytes() == b.tobytes()
+    assert g.edges() == ref.edges() and g.edge_count == ref.edge_count
+    assert g.adj == ref.adj
+    _assert_same_graph(g, ref)  # adj shares one int object per vertex id
+    assert g.is_forest() == ref.is_forest()
+    arcs, ref_arcs = g.elimination_arcs, ref.elimination_arcs
+    assert (arcs is None) == (ref_arcs is None)
+    for a, b in zip(arcs or (), ref_arcs or ()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if edges:
+        assert g != Graph.from_edges(n, edges[1:])
+    assert g != Graph.from_edges(n + 1, edges)
+
+
+def test_graph_is_immutable():
+    g = Graph.from_edges(3, [(0, 1)])
+    for name in ("n", "adj", "edge_arrays"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g.n == 3 and g.adj == ((1,), (0,), ()) and g.edges() == [(0, 1)]
 
 
 def test_from_edges_names_the_same_first_offender_as_the_reference():

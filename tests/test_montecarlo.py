@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stopcc import graphs, strategies
+from stopcc import exact, graphs, strategies
 from stopcc.activation import ActivationState
 from stopcc.errors import ParameterError
 from stopcc.graphs import Graph
@@ -135,3 +135,41 @@ def test_thread_count_does_not_change_estimates():
         for threads in (1, 3, 8)
     ]
     assert results[0] == results[1] == results[2]
+
+
+def _adj_built(g):
+    # adj is a cached property: built once, on first read, into the instance
+    return "adj" in vars(g)
+
+
+def test_kernel_paths_leave_adj_unbuilt():
+    cfg = EstimatorConfig(replications=6, seed=3)
+    specs = [strategies.blind_threshold(7), strategies.blind_fraction(Fraction(1, 3)),
+             strategies.two_phase(Fraction(1, 3), Fraction(1, 2), [0, 1])]
+    for family, params in (("grid", {"d": 2, "side": 20}),
+                           ("two_star_plus_star", {"n": 3000})):
+        g, _ = graphs.gen_named_family(family, params)
+        assert not _adj_built(g), family
+        estimate_tail(g, Fraction(1, 2), 10, cfg)
+        assert not _adj_built(g), (family, "estimate_tail")
+        blind_value_scan(g, cfg)
+        assert not _adj_built(g), (family, "blind_value_scan")
+        for spec in specs:
+            estimate_strategy(g, None, spec, cfg)
+            assert not _adj_built(g), (family, spec.describe())
+
+
+def test_step_by_step_paths_build_adj_and_keep_their_values():
+    g, _ = graphs.gen_named_family("grid", {"d": 2, "side": 8})
+    cfg = EstimatorConfig(replications=40, seed=5)
+    # the grid is not chordal, so greedy plays every order step by step
+    assert estimate_strategy(g, None, strategies.greedy_gain(), cfg).mean == 395 / 40
+    assert _adj_built(g) and g.elimination_arcs is None
+    assert estimate_strategy(g, None, strategies.greedy_gain(True), cfg).mean == 398 / 40
+    small, _ = graphs.gen_named_family("grid", {"d": 2, "side": 3})
+    assert not _adj_built(small)
+    for tier in (True, False):
+        table = exact.solve_dp(small, exact=tier)
+        assert table.root_value == (Fraction(4157, 1890) if tier else 4157 / 1890)
+        assert int(table.stop.sum()) == 362
+    assert _adj_built(small)
