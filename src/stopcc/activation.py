@@ -7,7 +7,12 @@ amortized O(log n) set operations per vertex.
 
 component_count_trace is the arrival-time kernel: the component count after
 every arrival of an order at once, with none of the other state.
-component_count reads the same kernel for one prefix only.
+component_count reads the same kernel for one prefix only.  The kernel counts
+merges in one of three ways: one per edge on a forest; one per vertex, when
+the vertex ids are an elimination order (every vertex's lower-id neighbours
+form a clique, as in a k-tree numbered in construction order), from the
+witness identity CC(S) = #{v in S: no lower-id neighbour of v in S}; and
+otherwise from a minimum spanning forest of the edge times (scipy).
 """
 
 from __future__ import annotations
@@ -240,23 +245,39 @@ def run_permutation(graph, seq, sigma):
 
 
 def _merge_times(graph, sigma):
-    """Spanning-forest merge times of the arrivals of sigma, a permutation or
-    a prefix of one; a time above len(sigma) never comes.
+    """Merge times of the arrivals of sigma, a permutation or a prefix of
+    one: for every t <= len(sigma), #{merge times <= t} is the number of
+    arrivals up to t that joined an earlier component.  A time above
+    len(sigma) never comes.
 
     Vertex sigma[i] arrives at time i+1 and edge (u, v) appears at the later
-    of its endpoints' times; vertices outside sigma never arrive.  By
-    Kruskal's matroid property the merge times are the weights of a minimum
-    spanning forest of the edge times (Newman & Ziff, PRL 85, 4104, 2000); on
-    a forest every edge merges.
+    of its endpoints' times; vertices outside sigma never arrive.  Three
+    branches, all exact:
+      - on a forest every edge merges, at its time;
+      - when graph.ids_eliminate holds, every component of the active set
+        has its lowest vertex as its one witness, a vertex none of whose
+        lower-id neighbours is active (they form a clique, so a path from
+        any other vertex down to the lowest shortcuts to a lower
+        neighbour).  Vertex v stops being a witness at max(a_v, f_v), its
+        arrival a_v or the first arrival f_v among its lower neighbours,
+        whichever is later: one merge time per vertex;
+      - otherwise, by Kruskal's matroid property, the merge times are the
+        weights of a minimum spanning forest of the edge times (Newman &
+        Ziff, PRL 85, 4104, 2000).
     """
     t = len(sigma)
     # int32 and in-place updates keep the per-call arrays small
     arrival = np.full(graph.n, t + 1, dtype=np.int32)
     arrival[np.asarray(sigma, dtype=np.intp)] = np.arange(1, t + 1, dtype=np.int32)
     eu, ev = graph.edge_arrays
+    forest = graph.is_forest()
+    if not forest and graph.ids_eliminate:
+        first = np.full(graph.n, t + 1, dtype=np.int32)
+        np.minimum.at(first, ev, arrival[eu])
+        return np.maximum(first, arrival, out=first)
     times = arrival[eu]
     np.maximum(times, arrival[ev], out=times)
-    if not graph.is_forest():
+    if not forest:
         present = times <= t
         weights = csr_matrix(
             (times[present], (eu[present], ev[present])), shape=(graph.n, graph.n)

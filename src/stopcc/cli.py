@@ -267,6 +267,8 @@ def cmd_concentration(args):
     eps = float(strategies._parse_fraction(args.epsilon))
     if eps < 0:
         raise ParameterError(f"--epsilon must be >= 0, got {args.epsilon}")
+    if not 0 <= alpha_exact <= 1:
+        raise ParameterError("alpha must lie in [0,1]")
     g, _, descriptor = _build_instance(args)
     if g.n == 0:
         raise ParameterError("concentration needs an instance with at least one vertex")

@@ -124,37 +124,51 @@ class Graph:
         return c
 
     @cached_property
+    def ids_eliminate(self):
+        """True iff the vertex ids are an elimination order: every vertex's
+        lower-id neighbours form a clique.  That holds iff each of them is
+        p(v), the highest one, or adjacent to p(v).  Computed once, on first
+        use, from the edge arrays alone: no sort, and no ``adj``."""
+        eu, ev = self.edge_arrays
+        p = np.full(self.n, -1, dtype=np.int32)
+        np.maximum.at(p, ev, eu)
+        p = p[ev]
+        other = eu != p
+        return _are_edges(self.n, eu, ev, eu[other], p[other])
+
+    @cached_property
     def elimination_arcs(self):
         """(later, earlier, depth) of a chordal graph; None if the graph is
         not chordal.  Built once per graph, on first use.
 
-        Vertices are ranked by maximum cardinality search (Tarjan &
-        Yannakakis, SIAM J. Comput. 13 (1984) 566).  Arc i runs from
-        later[i] to earlier[i], its endpoint of lower rank; the int32 arrays
-        are sorted by later vertex, and depth[v] counts v's earlier
-        neighbours K_v.  The graph is chordal iff every K_v is a clique,
-        which holds iff each member of K_v is adjacent to the latest one,
-        p(v), or is p(v).
+        Vertices are ranked by id when ``ids_eliminate`` holds, and otherwise
+        by maximum cardinality search (Tarjan & Yannakakis, SIAM J. Comput.
+        13 (1984) 566).  Arc i runs from later[i] to earlier[i], its endpoint
+        of lower rank; the int32 arrays are sorted by later vertex, and
+        depth[v] counts v's earlier neighbours K_v.  The graph is chordal iff
+        every K_v is a clique, which holds iff each member of K_v is adjacent
+        to the latest one, p(v), or is p(v).
         """
         n = self.n
-        rank = np.empty(n, dtype=np.int32)
-        rank[_mcs_order(self.adj)] = np.arange(n, dtype=np.int32)
         eu, ev = self.edge_arrays
-        u_later = rank[eu] > rank[ev]
-        later = np.where(u_later, eu, ev)
-        earlier = np.where(u_later, ev, eu)
-        # by later vertex, then by the rank of the earlier one: p(v) ends v's run
-        arcs = np.lexsort((rank[earlier], later))
-        later, earlier = later[arcs], earlier[arcs]
+        if self.ids_eliminate:
+            # the check is done: sort the arcs by later vertex, then by id
+            arcs = np.argsort(ev, kind="stable")
+            later, earlier = ev[arcs], eu[arcs]
+        else:
+            rank = np.empty(n, dtype=np.int32)
+            rank[_mcs_order(self.adj)] = np.arange(n, dtype=np.int32)
+            u_later = rank[eu] > rank[ev]
+            later = np.where(u_later, eu, ev)
+            earlier = np.where(u_later, ev, eu)
+            # by later vertex, then by the rank of the earlier one: p(v) ends v's run
+            arcs = np.lexsort((rank[earlier], later))
+            later, earlier = later[arcs], earlier[arcs]
+            p = earlier[np.cumsum(np.bincount(later, minlength=n))[later] - 1]
+            other = earlier != p
+            if not _are_edges(n, eu, ev, earlier[other], p[other]):
+                return None
         depth = np.bincount(later, minlength=n).astype(np.int32)
-        p = earlier[np.cumsum(depth, dtype=np.int64)[later] - 1]
-        other = earlier != p
-        a, b = earlier[other], p[other]
-        keys = eu.astype(np.int64) * n + ev  # sorted: edge_arrays is lexicographic
-        wanted = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
-        at = np.searchsorted(keys, wanted)
-        if not np.array_equal(keys[np.minimum(at, len(keys) - 1)], wanted):
-            return None
         for x in (later, earlier, depth):
             x.flags.writeable = False  # shared by every caller
         return later, earlier, depth
@@ -315,6 +329,15 @@ def _edge_arrays(n, keys):
     np.divmod(keys, n, out=(eu, ev), casting="unsafe")
     eu.flags.writeable = ev.flags.writeable = False  # shared by every caller
     return eu, ev
+
+
+def _are_edges(n, eu, ev, a, b):
+    """True iff every pair (a[i], b[i]) is an edge of the graph with the
+    lexicographic edge arrays (eu, ev): a lookup in the sorted edge keys."""
+    keys = eu.astype(np.int64) * n + ev
+    wanted = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+    at = np.searchsorted(keys, wanted)
+    return bool(np.array_equal(keys[np.minimum(at, len(keys) - 1)], wanted))
 
 
 def _sorted_arcs(n, u, v):

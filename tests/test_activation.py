@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from stopcc import exact, graphs
+from stopcc import activation, exact, graphs
 from stopcc.activation import (
     ActivationState,
     check_permutation,
@@ -183,6 +186,50 @@ def test_large_graph_skips_mask_but_keeps_counts():
         state.activate(v)
     assert state.cc == state.recount_cc()
     assert state.nbr_sum == state.recount_nbr_sum()
+
+
+def _scipy_recount(g, vertices):
+    """Components of the subgraph induced by vertices, counted by scipy; the
+    other vertices are isolated in the matrix and subtracted."""
+    keep = np.zeros(g.n, dtype=bool)
+    keep[vertices] = True
+    eu, ev = g.edge_arrays
+    both = keep[eu] & keep[ev]
+    m = csr_matrix((np.ones(int(both.sum())), (eu[both], ev[both])), shape=(g.n, g.n))
+    return connected_components(m, directed=False)[0] - (g.n - len(vertices))
+
+
+@st.composite
+def ktrees_with_orders(draw):
+    """(graph, relabelled, order, prefix length): a random k-tree, k = 1..3,
+    with its construction-order ids or with random ones."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 14))
+    g = graphs.graph_from_construction(graphs.gen_random_ktree(k, n, draw(st.integers(0, 999))))
+    relabelled = draw(st.booleans())
+    if relabelled:
+        label = draw(st.permutations(range(n)))
+        g = Graph.from_edges(n, [(label[u], label[v]) for u, v in g.edges()])
+    return g, relabelled, draw(st.permutations(range(n))), draw(st.integers(0, n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ktrees_with_orders())
+def test_kernel_matches_a_scipy_recount_on_both_labellings(case):
+    g, relabelled, sigma, l = case
+    # construction-order ids are an elimination order; random ones seldom are
+    assert relabelled or g.ids_eliminate
+    spy = mock.patch.object(activation, "minimum_spanning_tree",
+                            wraps=activation.minimum_spanning_tree)
+    with spy as mst:
+        trace = component_count_trace(g, sigma)
+        counts = [component_count(g, sigma[:t]) for t in range(g.n + 1)]
+        prefix = component_count_trace(g, sigma[:l])
+    expected = [_scipy_recount(g, sigma[:t]) for t in range(g.n + 1)]
+    assert trace == counts == expected
+    assert prefix == expected[: l + 1]
+    # the witness branch serves exactly the non-forests with eliminating ids
+    assert mst.called == (not g.is_forest() and not g.ids_eliminate)
 
 
 @st.composite

@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from stopcc import cli, exact, graphs, metagame, montecarlo, strategies
+from stopcc import activation, cli, exact, graphs, metagame, montecarlo, strategies
 
 
 def _run(capsys, *argv):
@@ -340,6 +341,23 @@ def test_concentration_rejects_negative_epsilon(monkeypatch, capsys):
         assert report["tail_bound"] == float(eps) ** 3 / 2000 >= 0
 
 
+def test_concentration_checks_alpha_before_building(monkeypatch, capsys):
+    def no_instance(*args):
+        raise AssertionError("an instance was built for an alpha outside [0,1]")
+
+    monkeypatch.setattr(graphs, "gen_named_family", no_instance)
+    for alpha in ("2", "-1/3", "1.5"):
+        code, out, err = _run(capsys, "concentration", "--family", "path", "--n", "10",
+                              f"--alpha={alpha}", "--epsilon", "0.1")
+        assert code == cli.EXIT_USAGE and out == "", alpha
+        assert err.strip() == "stopcc: alpha must lie in [0,1]", alpha
+    monkeypatch.undo()
+    for alpha in ("0", "1"):
+        code, out, _ = _run(capsys, "concentration", "--family", "path", "--n", "10",
+                            "--alpha", alpha, "--epsilon", "0.1", "--reps", "20")
+        assert code == 0 and json.loads(out)["alpha"] == float(alpha), alpha
+
+
 def test_metagame_mt_argmax(capsys):
     code, out, _ = _run(capsys, "metagame", "mt-argmax", "--k", "3")
     assert code == 0
@@ -427,3 +445,18 @@ def test_bad_thread_environment_exits_usage(monkeypatch, capsys):
     code, _, err = _run(capsys, "metagame", "mt-argmax", "--k", "2")
     assert code == cli.EXIT_USAGE
     assert err.startswith("stopcc:") and "STOPCC_THREADS" in err
+
+
+def test_chordal_instances_in_id_order_need_no_spanning_tree(capsys):
+    rules = ["--strategy", "blind:alpha=1/3", "--strategy", "greedy"]
+    for instance in (["--family", "two_star_plus_star", "--n", "3000"],
+                     ["--ktree", "2", "--n", "300"], ["--ktree", "3", "--n", "300"],
+                     ["--family", "grid", "--d", "2", "--side", "12"]):
+        spy = mock.patch.object(activation, "minimum_spanning_tree",
+                                wraps=activation.minimum_spanning_tree)
+        with spy as mst:
+            for argv in (["run", *rules, "--mode", "mc", "--reps", "6"],
+                         ["concentration", "--alpha", "1/3", "--epsilon", "0.1", "--reps", "6"]):
+                code, _, _ = _run(capsys, *argv, *instance)
+                assert code == 0, (argv, instance)
+        assert mst.called == (instance[1] == "grid"), instance

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -565,3 +566,43 @@ def test_elimination_arcs_decide_chordality_like_the_elimination_oracle():
                 _check_elimination_arcs(x)
             found.add(is_chordal)
     assert found == {True, False}
+
+
+@st.composite
+def _graphs_up_to_ten(draw):
+    """A graph on n <= 10 vertices, each pair an edge with one drawn density;
+    a k-tree in construction order, whose ids eliminate, one time in four."""
+    n = draw(st.integers(0, 10))
+    if n and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(1, n))
+        return graphs.graph_from_construction(graphs.gen_random_ktree(k, n, draw(st.integers(0, 99))))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+    pairs = list(itertools.combinations(range(n), 2))
+    flags = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [p for p, x in zip(pairs, flags) if x < density])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_graphs_up_to_ten())
+def test_ids_eliminate_matches_the_lower_clique_oracle(g):
+    lower = [[u for u in range(v) if g.has_edge(u, v)] for v in range(g.n)]
+    oracle = all(g.has_edge(a, b) for ks in lower for a, b in itertools.combinations(ks, 2))
+    h = Graph.from_edges(g.n, g.edges())  # a fresh graph: the flag must not build adj
+    assert h.ids_eliminate == oracle and "adj" not in vars(h)
+    if oracle:
+        _check_elimination_arcs(g)
+        later, earlier, _ = g.elimination_arcs
+        assert np.all(later > earlier)  # ranked by id
+
+
+def test_elimination_arcs_skip_the_search_when_the_ids_eliminate():
+    seq = graphs.gen_random_ktree(2, 300, seed=5)
+    g = graphs.graph_from_construction(seq)
+    relabelled = _relabel(g, random.Random(5))
+    with mock.patch.object(graphs, "_mcs_order", wraps=graphs._mcs_order) as mcs:
+        assert g.ids_eliminate and g.elimination_arcs is not None
+        assert not mcs.called and "adj" not in vars(g)
+        assert not relabelled.ids_eliminate and relabelled.elimination_arcs is not None
+        assert mcs.call_count == 1
+    for x in (g, relabelled):
+        _check_elimination_arcs(x)
