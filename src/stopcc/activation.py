@@ -123,30 +123,25 @@ class ActivationState:
         delta_cc = 1 - len(roots)
         self.cc += delta_cc
 
-        # v stops counting as an inactive neighbor of the components it touches
-        for r in roots:
-            self._boundary[r].discard(v)
-        self.nbr_sum -= len(roots)
-
-        # merge boundary sets small-to-large into the new component's set
+        # nbr_sum drops the old boundaries and gains the merged one, which
+        # unions them small-to-large, drops v and adds v's inactive neighbours
+        boundary = self._boundary
+        nbr_sum = self.nbr_sum
         merged = set()
         for r in roots:
-            s = self._boundary.pop(r)
+            s = boundary.pop(r)
+            nbr_sum -= len(s)
             if len(s) > len(merged):
                 merged, s = s, merged
-            for x in s:
-                if x in merged:
-                    self.nbr_sum -= 1
-                else:
-                    merged.add(x)
+            merged |= s
+        merged.discard(v)
         for w in self.graph.adj[v]:
-            if not active[w] and w not in merged:
+            if not active[w]:
                 merged.add(w)
-                self.nbr_sum += 1
+        self.nbr_sum = nbr_sum + len(merged)
 
+        # v was never linked, so it is still its own root of size 1
         parent, size = self._parent, self._size
-        parent[v] = v
-        size[v] = 1
         root = v
         for r in roots:
             if size[r] >= size[root]:
@@ -156,7 +151,7 @@ class ActivationState:
             else:
                 parent[r] = root
                 size[root] += size[r]
-        self._boundary[root] = merged
+        boundary[root] = merged
 
         if self._deps is not None:
             if self._m_active[v] == 0:

@@ -29,11 +29,16 @@ EXIT_RESOURCE = 3
 EXIT_IO = 4
 
 BLIND_SCAN_CAP = 10**6
-BLIND_SCAN_ROW_BYTES = 190  # peak memory per curve row, estimated high
+# peak memory per curve row, estimated high: 190 bytes at small k; beyond
+# that the numerators carry (k+1) log2(n) bits, and tracemalloc peaks fit
+# 81 + (k+1) bits(n) / 4 bytes (84, 156, 844 at k = 1, 20, 200, n = 2*10^4)
+BLIND_SCAN_ROW_BYTES = 190
+BLIND_SCAN_BUDGET = 10**9  # bytes
 # a replication costs 40-90 us on a one-vertex path (2-core x86), so the cap
 # admits runs of minutes even there; the scores, kept as one Python number
 # each until the estimate, stay under about 0.5 GB
 REPS_CAP = 10**7
+_SIZE_FLAGS = ("n", "k", "d", "side")  # the integer family parameters
 
 
 def _default_threads():
@@ -83,7 +88,7 @@ def _estimate_fields(est, tail=False):
 def _family_params(family, args):
     """gen_named_family parameters from the instance flags."""
     params = {}
-    for key in ("n", "k", "d", "side"):
+    for key in _SIZE_FLAGS:
         value = getattr(args, key)
         if value is not None:
             params[key] = value
@@ -130,10 +135,13 @@ def _add_instance_flags(sub):
     sub.add_argument("--ktree", type=int, metavar="K",
                      help="random k-tree of this width (with --n, --seed)")
     sub.add_argument("--seq-file", help="read the instance from a sequence file")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--side", type=int)
+    _add_size_flags(sub)
+
+
+def _add_size_flags(sub):
+    """The size and seed flags of the generators and named families."""
+    for key in _SIZE_FLAGS:
+        sub.add_argument(f"--{key}", type=int)
     sub.add_argument("--ratio")
     sub.add_argument("--seed", type=int, default=0)
 
@@ -190,10 +198,16 @@ def cmd_blind_scan(args):
         raise ParameterError(
             f"blind-scan --kind {args.kind} needs --n >= {max(k, 1)}, got --n {n}"
         )
+    need = n * max(BLIND_SCAN_ROW_BYTES, 100 + (k + 1) * n.bit_length() // 3)
     if n > BLIND_SCAN_CAP:
         raise ResourceLimitError(
             f"blind-scan capped at n={BLIND_SCAN_CAP}, got n={n}, which needs "
-            f"about {n * BLIND_SCAN_ROW_BYTES // 10**6} MB"
+            f"about {need // 10**6} MB"
+        )
+    if need > BLIND_SCAN_BUDGET:
+        raise ResourceLimitError(
+            f"blind-scan with k={k}, n={n} needs about {need // 10**6} MB, above "
+            f"its budget of {BLIND_SCAN_BUDGET // 10**6} MB"
         )
     numerators, denominator = exact.blind_curve_ktree(k, n)
     best = numerators.index(max(numerators))
@@ -322,12 +336,7 @@ def build_parser():
     p = sub.add_parser("generate", help="generate an instance file")
     p.add_argument("kind", choices=["ktree", "family"])
     p.add_argument("--name", choices=graphs.FAMILIES)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--side", type=int)
-    p.add_argument("--ratio")
-    p.add_argument("--seed", type=int, default=0)
+    _add_size_flags(p)
     p.add_argument("-o", "--out")
     p.add_argument("--seq-out")
     p.set_defaults(func=cmd_generate)

@@ -32,11 +32,11 @@ DP_TIE_TOL = 1e-9
 
 
 def blind_expectation_tree(n, l):
-    """Expected component count of a uniform l-subset of any n-vertex tree:
-    l(n-l+1)/n."""
+    """Expected component count of a uniform l-subset of any n-vertex tree,
+    l(n-l+1)/n: the width-1 witness curve."""
     if n < 1 or not 0 <= l <= n:
         raise ParameterError(f"need n >= 1 and 0 <= l <= n, got n={n}, l={l}")
-    return Fraction(l * (n - l + 1), n)
+    return blind_expectation_ktree(1, n, l)
 
 
 def blind_expectation_ktree(k, n, l):

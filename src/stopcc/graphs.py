@@ -22,6 +22,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ParameterError, ValidationError
 
+# vertex ids are stored as int32 in the edge arrays and every kernel
+ID_LIMIT = np.iinfo(np.int32).max
+
 
 class Graph:
     """Undirected simple graph on vertices 0..n-1, stored as its edge arrays.
@@ -49,13 +52,16 @@ class Graph:
 
         ``edges`` is an int (m, 2) array or an iterable of (u, v) pairs.  Only
         the edge arrays are built, from one sort of the edge keys.
-        ValidationError is raised for an entry that is not a pair of
-        integers, and otherwise for the first edge, in input order, that has
-        an id outside 0..n-1, is a self-loop, or repeats an earlier edge in
-        either direction (the message names the first of these that applies).
+        ValidationError is raised for n above ID_LIMIT, for an entry that is
+        not a pair of integers, and otherwise for the first edge, in input
+        order, that has an id outside 0..n-1, is a self-loop, or repeats an
+        earlier edge in either direction (the message names the first of
+        these that applies).
         """
         if n < 0:
             raise ValidationError("vertex count must be nonnegative")
+        if n > ID_LIMIT:
+            raise ValidationError(f"vertex count {n} exceeds the int32 id limit {ID_LIMIT}")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         pairs = _edge_pairs(edges)
@@ -400,18 +406,24 @@ def ksystem_from_construction(seq):
     return KSystem(seq.n, tuple(seq.order[seq.k:]))
 
 
+def _sequence_start(k, n):
+    """The initial-clique entries of a width-k sequence on n vertices, vertex
+    i attached to the i earlier ones, after checking k >= 1 and n >= k."""
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    if n < k:
+        raise ParameterError(f"need n >= k, got n={n}, k={k}")
+    return [(i, frozenset(range(i))) for i in range(k)]
+
+
 def gen_random_ktree(k, n, seed):
     """Grow a random k-tree: each new vertex attaches to a uniformly chosen
     k-clique among those created so far (the initial clique, and for every
     placed vertex v the k subsets of {v} u M_v containing v is replaced by
     the standard clique-splitting list).  Deterministic given seed.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if n < k:
-        raise ParameterError(f"need n >= k, got n={n}, k={k}")
+    order = _sequence_start(k, n)
     rng = random.Random(("ktree", k, n, seed).__repr__())
-    order = [(i, frozenset(range(i))) for i in range(k)]
     cliques = [frozenset(range(k))]
     for v in range(k, n):
         m = rng.choice(cliques)
@@ -426,12 +438,8 @@ def gen_random_kdegenerate(k, n, seed):
     """Random maximal k-degenerate sequence: each new vertex attaches to a
     uniform k-subset of the placed vertices (attachment sets are generally
     not cliques, so the result is usually not a k-tree for k >= 2)."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if n < k:
-        raise ParameterError(f"need n >= k, got n={n}, k={k}")
+    order = _sequence_start(k, n)
     rng = random.Random(("kdeg", k, n, seed).__repr__())
-    order = [(i, frozenset(range(i))) for i in range(k)]
     for v in range(k, n):
         order.append((v, frozenset(rng.sample(range(v), k))))
     return ConstructionSequence(k, tuple(order))
@@ -524,8 +532,7 @@ def gen_named_family(family, params):
         n = _require_int(p, "n", k)
         _reject_extras(family, p)
         base = frozenset(range(k))
-        order = [(i, frozenset(range(i))) for i in range(k)]
-        order += [(v, base) for v in range(k, n)]
+        order = _sequence_start(k, n) + [(v, base) for v in range(k, n)]
         seq = ConstructionSequence(k, tuple(order))
         return graph_from_construction(seq), seq
     if family == "star_plus_path":
@@ -573,6 +580,11 @@ def gen_named_family(family, params):
         _reject_extras(family, p)
         # vertex a has coordinate (a // side^(d-1-axis)) % side on each axis
         n = side**d
+        if n > ID_LIMIT:
+            raise ParameterError(
+                f"grid with side={side}, d={d} has {n} vertices, above the int32 "
+                f"id limit {ID_LIMIT}"
+            )
         a = np.arange(n)
         blocks = []
         for axis in range(d):
@@ -609,18 +621,24 @@ def write_graph(g, stream):
         stream.write(f"e {u} {v}\n")
 
 
-def read_graph(stream):
+def _read_header(stream, kind, header):
+    """(value, numbered later lines) of a text file whose first line reads
+    header, as in "n <count>"; the final newline is optional."""
     lines = stream.read().split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     if not lines:
-        raise ValidationError("empty graph file")
+        raise ValidationError(f"empty {kind} file")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "n":
-        raise ValidationError(f"line 1: expected 'n <count>', got {lines[0]!r}")
-    n = _parse_int(head[1], "line 1")
+    if len(head) != 2 or head[0] != header.split()[0]:
+        raise ValidationError(f"line 1: expected '{header}', got {lines[0]!r}")
+    return _parse_int(head[1], "line 1"), enumerate(lines[1:], start=2)
+
+
+def read_graph(stream):
+    n, body = _read_header(stream, "graph", "n <count>")
     edges = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in body:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "e":
             raise ValidationError(f"line {lineno}: expected 'e <u> <v>', got {line!r}")
@@ -637,17 +655,9 @@ def write_sequence(seq, stream):
 
 
 def read_sequence(stream):
-    lines = stream.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ValidationError("empty sequence file")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "k":
-        raise ValidationError(f"line 1: expected 'k <k>', got {lines[0]!r}")
-    k = _parse_int(head[1], "line 1")
+    k, body = _read_header(stream, "sequence", "k <k>")
     order = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in body:
         parts = line.split()
         if len(parts) < 3 or parts[0] != "v" or parts[2] != "m":
             raise ValidationError(

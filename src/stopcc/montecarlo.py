@@ -90,15 +90,21 @@ def _run_indexed(cfg, worker):
     return np.array([worker(i) for i in range(cfg.replications)], dtype=np.float64)
 
 
-def estimate_strategy(graph, seq, spec, cfg):
-    """Mean strategy score over uniform random permutations, with a
-    normal-approximation confidence interval."""
+def _scores(graph, seq, specs, cfg):
+    """The common-random-number score table: row s holds the scores of
+    specs[s], column i those of the one permutation of replication i."""
 
     def worker(i):
         sigma = replication_permutation(cfg.seed, i, graph.n)
-        return strategies.run_strategy(graph, seq, spec, sigma)[1]
+        return [strategies.run_strategy(graph, seq, spec, sigma)[1] for spec in specs]
 
-    return _summarize(_run_indexed(cfg, worker), cfg)
+    return _run_indexed(cfg, worker).T
+
+
+def estimate_strategy(graph, seq, spec, cfg):
+    """Mean strategy score over uniform random permutations, with a
+    normal-approximation confidence interval."""
+    return _summarize(_scores(graph, seq, [spec], cfg)[0], cfg)
 
 
 def estimate_tail(graph, alpha, threshold, cfg):
@@ -128,12 +134,7 @@ def compare_strategies(graph, seq, specs, cfg):
     """
     if len(specs) < 2:
         raise ParameterError("need at least two strategies to compare")
-
-    def worker(i):
-        sigma = replication_permutation(cfg.seed, i, graph.n)
-        return [strategies.run_strategy(graph, seq, spec, sigma)[1] for spec in specs]
-
-    scores = _run_indexed(cfg, worker).T  # row s: the scores of specs[s]
+    scores = _scores(graph, seq, specs, cfg)
     estimates = [_summarize(scores[s], cfg) for s in range(len(specs))]
     diffs = {}
     for a in range(len(specs)):

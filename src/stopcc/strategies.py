@@ -156,6 +156,13 @@ def _trigger_set(spec, seq, n):
     return trigger
 
 
+def _greedy_continues(spec, margin):
+    """Greedy's one test, on the margin n - t - nbr_sum at t < n (an int or an
+    array): expected_gain() is margin / (n - t).  Continue on a positive
+    gain, and on a zero one unless the rule is strict."""
+    return margin > 0 if spec.strict_gain else margin >= 0
+
+
 def decide(spec, view, seq=None):
     """One stop/continue decision from the observable view."""
     if not (spec.is_blind() or isinstance(view, FullView)):
@@ -164,12 +171,7 @@ def decide(spec, view, seq=None):
     if t >= n:
         return STOP
     if spec.kind == "greedy_gain":
-        # expected_gain() is (n - t - nbr_sum) / (n - t) with n - t > 0 here,
-        # so its numerator carries the sign
-        margin = n - t - view.state.nbr_sum
-        if spec.strict_gain:
-            return CONTINUE if margin > 0 else STOP
-        return CONTINUE if margin >= 0 else STOP
+        return CONTINUE if _greedy_continues(spec, n - t - view.state.nbr_sum) else STOP
     if spec.kind == "dp_optimal":
         if spec.table is None:
             raise UsageError("dp_optimal needs a solved value table attached")
@@ -186,12 +188,11 @@ def decide(spec, view, seq=None):
 
 def _greedy_stop_time(spec, graph, sigma):
     """Stop time of a greedy rule on the order sigma of a chordal graph, read
-    off the whole nbr_sum trace: the first t in 1..n-1 where the margin
-    n - t - nbr_sum, as in decide's greedy branch, turns negative (or zero
-    for greedy:strict), otherwise n."""
+    off the whole nbr_sum trace: the first t in 1..n-1 where
+    _greedy_continues fails on the margin n - t - nbr_sum, otherwise n."""
     n = graph.n
     margin = np.arange(n, -1, -1) - nbr_sum_trace(graph, sigma)
-    stops = margin[1:n] <= 0 if spec.strict_gain else margin[1:n] < 0
+    stops = ~_greedy_continues(spec, margin[1:n])
     return int(stops.argmax()) + 1 if stops.any() else n
 
 
@@ -208,7 +209,7 @@ def run_strategy(graph, seq, spec, sigma):
         raise ValidationError("sequence and graph disagree on vertex count")
     n = graph.n
     t = position_stop_time(
-        spec, n, lambda a: not _trigger_set(spec, seq, n).isdisjoint(sigma[:a].tolist())
+        spec, n, lambda a: np.isin(sigma[:a], list(_trigger_set(spec, seq, n))).any()
     )
     if spec.kind == "greedy_gain" and graph.elimination_arcs is not None:
         t = _greedy_stop_time(spec, graph, sigma)

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from stopcc import activation, cli, exact, graphs, metagame, montecarlo, strategies
@@ -105,6 +106,32 @@ def test_blind_scan_cap_exits_before_any_work(monkeypatch, capsys):
         code, out, err = _run(capsys, "blind-scan", *argv, "--n", "1000001")
         assert code == cli.EXIT_RESOURCE and out == "", argv
         assert "n=1000001" in err and "n=1000000" in err and "MB" in err
+
+
+def test_blind_scan_budget_grows_with_k(monkeypatch, capsys):
+    def no_curve(*args):
+        raise AssertionError("the curve was built above the budget")
+
+    monkeypatch.setattr(exact, "blind_curve_ktree", no_curve)
+    code, out, err = _run(capsys, "blind-scan", "--kind", "ktree", "--k", "2000",
+                          "--n", "1000000")
+    assert code == cli.EXIT_RESOURCE and out == ""
+    assert "k=2000, n=1000000" in err and "MB" in err
+    # narrow curves stay admitted at the largest n
+    built = []
+    monkeypatch.setattr(exact, "blind_curve_ktree",
+                        lambda k, n: built.append((k, n)) or ([0], 1))
+    for argv in (["--kind", "tree"], ["--kind", "ktree", "--k", "20"]):
+        code, _, _ = _run(capsys, "blind-scan", *argv, "--n", "1000000")
+        assert code == 0, argv
+    assert built == [(1, 10**6), (20, 10**6)]
+
+
+def test_huge_grid_exits_usage_before_any_array(capsys):
+    with mock.patch.object(np, "arange", side_effect=AssertionError("grid built")):
+        code, out, err = _run(capsys, "generate", "family", "--name", "grid",
+                              "--d", "2", "--side", "99999")
+    assert code == cli.EXIT_USAGE and out == "" and "int32" in err
 
 
 def test_reps_cap_exits_usage_before_any_work(monkeypatch, capsys):

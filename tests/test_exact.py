@@ -34,10 +34,11 @@ def test_blind_expectation_tree_values():
 
 
 def test_blind_expectation_ktree_width_one_matches_tree():
+    # the tree reads the width-1 curve, so check both against the closed form
     for n in range(1, 13):
         for l in range(n + 1):
             assert exact.blind_expectation_ktree(1, n, l) == \
-                exact.blind_expectation_tree(n, l)
+                exact.blind_expectation_tree(n, l) == Fraction(l * (n - l + 1), n)
 
 
 def test_blind_expectation_ktree_edge_cases():

@@ -47,6 +47,16 @@ def test_from_edges_rejects_bad_input():
         graphs.read_graph(io.StringIO("n 3\ne 99999999999999999999 0\n"))
 
 
+def test_vertex_count_must_fit_the_int32_ids():
+    # the edge arrays and every kernel hold vertex ids as int32
+    for build in (lambda: Graph.from_edges(3_000_000_000, [(0, 2_999_999_999)]),
+                  lambda: graphs.read_graph(io.StringIO("n 3000000000\ne 0 2999999999\n"))):
+        with pytest.raises(ValidationError, match="int32 id limit 2147483647"):
+            build()
+    top = graphs.ID_LIMIT
+    assert Graph.from_edges(top, [(0, top - 1)]).edges() == [(0, top - 1)]
+
+
 def _reference_from_edges(n, edges):
     """The per-edge, set-based build that Graph.from_edges replaced."""
     if n < 0:
@@ -446,6 +456,10 @@ def test_family_parameter_errors():
         graphs.gen_named_family("path", {"n": 4, "k": 2})
     with pytest.raises(ParameterError, match="integer"):
         graphs.gen_named_family("path", {"n": 2.5})
+    # side**d above the int32 ids is refused before any array is built
+    with mock.patch.object(np, "arange", side_effect=AssertionError("grid built")):
+        with pytest.raises(ParameterError, match="9999800001 vertices"):
+            graphs.gen_named_family("grid", {"d": 2, "side": 99999})
 
 
 def test_graph_file_roundtrip():

@@ -306,6 +306,20 @@ def test_run_strategy_position_rules_match_per_step_rule():
             run_strategy(_path(n), seq, spec, list(range(n)))
 
 
+def _greedy_by_gain(graph, strict, sigma):
+    # greedy from its definition, apart from decide: stop at the first t in
+    # 1..n-1 where the exact expected gain is negative, or zero when strict
+    state = ActivationState(graph)
+    for t, v in enumerate(sigma, start=1):
+        state.activate(v)
+        if t == graph.n:
+            break
+        gain = state.expected_gain()
+        if gain < 0 or (strict and gain == 0):
+            break
+    return t, state.cc
+
+
 def test_greedy_on_chordal_graphs_matches_per_step_rule():
     # seeded orders on graphs large enough for long greedy runs
     instances = [
@@ -322,6 +336,7 @@ def test_greedy_on_chordal_graphs_matches_per_step_rule():
             sigma = rng.permutation(g.n)
             scores = [run_strategy(g, None, spec, sigma) for spec in specs]
             assert scores == _per_step(g, None, specs, sigma)
+            assert scores == [_greedy_by_gain(g, spec.strict_gain, sigma) for spec in specs]
 
 
 def test_greedy_takes_the_trace_on_chordal_graphs_only(monkeypatch):
