@@ -8,11 +8,12 @@ amortized O(log n) set operations per vertex.
 component_count_trace is the arrival-time kernel: the component count after
 every arrival of an order at once, with none of the other state.
 component_count reads the same kernel for one prefix only.  The kernel counts
-merges in one of three ways: one per edge on a forest; one per vertex, when
-the vertex ids are an elimination order (every vertex's lower-id neighbours
-form a clique, as in a k-tree numbered in construction order), from the
-witness identity CC(S) = #{v in S: no lower-id neighbour of v in S}; and
-otherwise from a minimum spanning forest of the edge times (scipy).
+merges in the first of three ways that applies: one per vertex, when the
+vertex ids are an elimination order (every vertex's lower-id neighbours form
+a clique, as in a path, a star or a k-tree numbered in construction order),
+from the witness identity CC(S) = #{v in S: no lower-id neighbour of v in S};
+one per edge on a forest; and otherwise from a minimum spanning forest of the
+edge times (scipy).
 """
 
 from __future__ import annotations
@@ -247,15 +248,16 @@ def _merge_times(graph, sigma):
 
     Vertex sigma[i] arrives at time i+1 and edge (u, v) appears at the later
     of its endpoints' times; vertices outside sigma never arrive.  Three
-    branches, all exact:
-      - on a forest every edge merges, at its time;
+    branches, all exact, tried in this order:
       - when graph.ids_eliminate holds, every component of the active set
         has its lowest vertex as its one witness, a vertex none of whose
         lower-id neighbours is active (they form a clique, so a path from
         any other vertex down to the lowest shortcuts to a lower
         neighbour).  Vertex v stops being a witness at max(a_v, f_v), its
         arrival a_v or the first arrival f_v among its lower neighbours,
-        whichever is later: one merge time per vertex;
+        whichever is later: one merge time per vertex.  The test reads the
+        edge arrays alone, never the scipy component count of is_forest();
+      - on a forest every edge merges, at its time;
       - otherwise, by Kruskal's matroid property, the merge times are the
         weights of a minimum spanning forest of the edge times (Newman &
         Ziff, PRL 85, 4104, 2000).
@@ -265,14 +267,13 @@ def _merge_times(graph, sigma):
     arrival = np.full(graph.n, t + 1, dtype=np.int32)
     arrival[np.asarray(sigma, dtype=np.intp)] = np.arange(1, t + 1, dtype=np.int32)
     eu, ev = graph.edge_arrays
-    forest = graph.is_forest()
-    if not forest and graph.ids_eliminate:
+    if graph.ids_eliminate:
         first = np.full(graph.n, t + 1, dtype=np.int32)
         np.minimum.at(first, ev, arrival[eu])
         return np.maximum(first, arrival, out=first)
     times = arrival[eu]
     np.maximum(times, arrival[ev], out=times)
-    if not forest:
+    if not graph.is_forest():
         present = times <= t
         weights = csr_matrix(
             (times[present], (eu[present], ev[present])), shape=(graph.n, graph.n)

@@ -179,11 +179,11 @@ def cmd_generate(args):
     if args.name is None:
         raise UsageError("generate family needs --name")
     g, seq = graphs.gen_named_family(args.name, _family_params(args.name, args))
+    if args.seq_out and seq is None:
+        raise UsageError(f"family {args.name} has no construction sequence")
     with _output(args.out) as fh:
         graphs.write_graph(g, fh)
     if args.seq_out:
-        if seq is None:
-            raise UsageError(f"family {args.name} has no construction sequence")
         with _output(args.seq_out) as fh:
             graphs.write_sequence(seq, fh)
     return 0
@@ -275,14 +275,22 @@ def cmd_run(args):
 def cmd_concentration(args):
     started = time.time()
     cfg = _estimator_config(args)
-    # the exact fraction sets the prefix length; floats serve the threshold
+    # the exact fractions are checked and set the prefix length; floats
+    # serve the threshold and the tail bound
     alpha_exact = strategies._parse_fraction(args.alpha)
-    alpha = float(alpha_exact)
-    eps = float(strategies._parse_fraction(args.epsilon))
-    if eps < 0:
+    eps_exact = strategies._parse_fraction(args.epsilon)
+    if eps_exact < 0:
         raise ParameterError(f"--epsilon must be >= 0, got {args.epsilon}")
     if not 0 <= alpha_exact <= 1:
         raise ParameterError("alpha must lie in [0,1]")
+    alpha = float(alpha_exact)
+    try:
+        eps = float(eps_exact)
+        tail_bound = eps**3 / 2000
+    except OverflowError:
+        raise ParameterError(
+            f"--epsilon {args.epsilon} is too large: eps^3/2000 must fit a float"
+        ) from None
     g, _, descriptor = _build_instance(args)
     if g.n == 0:
         raise ParameterError("concentration needs an instance with at least one vertex")
@@ -295,7 +303,7 @@ def cmd_concentration(args):
         "epsilon": eps,
         "beta": beta,
         "threshold": threshold,
-        "tail_bound": eps**3 / 2000,
+        "tail_bound": tail_bound,
         "tail_estimate": _estimate_fields(est, tail=True),
     }
     _emit(report, args.out, started)
@@ -382,10 +390,10 @@ def main(argv=None):
     except ResourceLimitError as e:
         print(f"stopcc: resource cap exceeded: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (OSError,) as e:
+    except OSError as e:
         print(f"stopcc: I/O error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (ParameterError, UsageError, ValidationError, StopCCError, ValueError) as e:
+    except (StopCCError, ValueError) as e:
         print(f"stopcc: {e}", file=sys.stderr)
         return EXIT_USAGE
 

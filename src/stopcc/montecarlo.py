@@ -84,21 +84,18 @@ def _summarize(scores, cfg, zero_hit_upper=None):
     )
 
 
-def _run_indexed(cfg, worker):
-    """Return the array of worker(i) for every replication i, computed in
-    index order on one thread."""
-    return np.array([worker(i) for i in range(cfg.replications)], dtype=np.float64)
+def _permutations(cfg, n):
+    """Replication i's permutation of 0..n-1, for every i in index order:
+    the one replication loop of every estimate."""
+    for i in range(cfg.replications):
+        yield replication_permutation(cfg.seed, i, n)
 
 
 def _scores(graph, seq, specs, cfg):
     """The common-random-number score table: row s holds the scores of
     specs[s], column i those of the one permutation of replication i."""
-
-    def worker(i):
-        sigma = replication_permutation(cfg.seed, i, graph.n)
-        return [strategies.run_strategy(graph, seq, spec, sigma)[1] for spec in specs]
-
-    return _run_indexed(cfg, worker).T
+    return np.array([[strategies.run_strategy(graph, seq, spec, sigma)[1] for spec in specs]
+                     for sigma in _permutations(cfg, graph.n)], dtype=np.float64).T
 
 
 def estimate_strategy(graph, seq, spec, cfg):
@@ -111,14 +108,9 @@ def estimate_tail(graph, alpha, threshold, cfg):
     """Empirical P(CC(G[ceil(alpha n)]) > threshold) with CI."""
     if not 0 <= alpha <= 1:
         raise ParameterError("alpha must lie in [0,1]")
-    n = graph.n
-    t = strategies.stop_count(alpha, n)
-
-    def worker(i):
-        prefix = replication_permutation(cfg.seed, i, n)[:t]
-        return 1.0 if component_count(graph, prefix) > threshold else 0.0
-
-    hits = _run_indexed(cfg, worker)
+    t = strategies.stop_count(alpha, graph.n)
+    hits = np.array([component_count(graph, sigma[:t]) > threshold
+                     for sigma in _permutations(cfg, graph.n)], dtype=np.float64)
     zero_upper = None
     if not hits.any():
         # exact upper bound on p compatible with observing zero hits
@@ -146,9 +138,7 @@ def compare_strategies(graph, seq, specs, cfg):
 def blind_value_scan(graph, cfg):
     """Monte Carlo mean component count for every blind threshold l at once:
     one component trace per replication covers all l in [0, n]."""
-    n = graph.n
-    sums = np.zeros(n + 1, dtype=np.float64)
-    for i in range(cfg.replications):
-        sigma = replication_permutation(cfg.seed, i, n)
+    sums = np.zeros(graph.n + 1, dtype=np.float64)
+    for sigma in _permutations(cfg, graph.n):
         sums += np.array(component_count_trace(graph, sigma), dtype=np.float64)
     return sums / cfg.replications

@@ -71,6 +71,8 @@ def test_usage_errors():
         state.component_root(1)  # inactive
     assert state.component_root(0) == 0
     assert state.adjacent_component_count(1) == 1
+    with pytest.raises(UsageError, match="construction sequence"):
+        state.recount_wv()  # no sequence, so no witness count
 
 
 def test_sequence_graph_mismatch_rejected():
@@ -228,8 +230,20 @@ def test_kernel_matches_a_scipy_recount_on_both_labellings(case):
     expected = [_scipy_recount(g, sigma[:t]) for t in range(g.n + 1)]
     assert trace == counts == expected
     assert prefix == expected[: l + 1]
-    # the witness branch serves exactly the non-forests with eliminating ids
+    # the witness branch serves every graph with eliminating ids, so the
+    # spanning forest serves exactly the non-forests whose ids do not eliminate
     assert mst.called == (not g.is_forest() and not g.ids_eliminate)
+
+
+def test_eliminating_ids_never_ask_for_the_component_count():
+    # a path numbered along itself eliminates: the witness branch comes
+    # first, so the kernel never computes scipy's component count
+    n = 50
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    sigma = np.random.default_rng(5).permutation(n)
+    assert component_count_trace(g, sigma) == \
+        [_scipy_recount(g, sigma[:t]) for t in range(n + 1)]
+    assert "_component_count" not in vars(g)
 
 
 @st.composite

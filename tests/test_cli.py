@@ -48,14 +48,17 @@ def test_generate_family_to_stdout(capsys):
     assert out.splitlines() == ["n 3", "e 0 1", "e 1 2"]
 
 
-def test_generate_usage_errors(capsys):
+def test_generate_usage_errors(tmp_path, capsys):
     code, _, err = _run(capsys, "generate", "ktree", "--k", "2")
     assert code == cli.EXIT_USAGE and "needs" in err
     code, _, err = _run(capsys, "generate", "family", "--n", "4")
     assert code == cli.EXIT_USAGE
-    code, _, err = _run(capsys, "generate", "family", "--name", "grid",
-                        "--d", "2", "--side", "2", "--seq-out", "x")
+    gpath, spath = tmp_path / "g.txt", tmp_path / "s.txt"
+    code, out, err = _run(capsys, "generate", "family", "--name", "grid",
+                          "--d", "2", "--side", "2", "-o", str(gpath), "--seq-out", str(spath))
     assert code == cli.EXIT_USAGE and "no construction sequence" in err
+    # the missing sequence is found before any output is opened
+    assert out == "" and not gpath.exists() and not spath.exists()
 
 
 def test_blind_scan_csv(capsys):
@@ -291,6 +294,9 @@ def test_fraction_flags_that_divide_by_zero_exit_usage(capsys):
 def test_run_requires_an_instance(capsys):
     code, _, err = _run(capsys, "run", "--strategy", "greedy", "--mode", "mc")
     assert code == cli.EXIT_USAGE and "no instance" in err
+    code, out, err = _run(capsys, "run", "--ktree", "2", "--strategy", "greedy", "--mode", "mc")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.strip() == "stopcc: --ktree needs --n"
 
 
 def test_run_seq_file_instance(tmp_path, capsys):
@@ -368,12 +374,30 @@ def test_concentration_rejects_negative_epsilon(monkeypatch, capsys):
         assert report["tail_bound"] == float(eps) ** 3 / 2000 >= 0
 
 
+def test_concentration_rejects_an_epsilon_too_large_for_a_float(monkeypatch, capsys):
+    def no_instance(*args):
+        raise AssertionError("an instance was built for an epsilon out of float range")
+
+    monkeypatch.setattr(graphs, "gen_named_family", no_instance)
+    # 1e400 overflows a float, and 1e200 overflows the tail bound eps^3/2000
+    for eps in ("1e400", "1e200"):
+        code, out, err = _run(capsys, "concentration", "--family", "path", "--n", "5",
+                              "--alpha", "1/2", "--epsilon", eps)
+        assert code == cli.EXIT_USAGE and out == "", eps
+        assert err.startswith("stopcc:") and "--epsilon" in err and eps in err, eps
+    # a negative epsilon is refused as such, however large
+    code, _, err = _run(capsys, "concentration", "--family", "path", "--n", "5",
+                        "--alpha", "1/2", "--epsilon=-1e400")
+    assert code == cli.EXIT_USAGE and "--epsilon must be >= 0" in err
+
+
 def test_concentration_checks_alpha_before_building(monkeypatch, capsys):
     def no_instance(*args):
         raise AssertionError("an instance was built for an alpha outside [0,1]")
 
     monkeypatch.setattr(graphs, "gen_named_family", no_instance)
-    for alpha in ("2", "-1/3", "1.5"):
+    # 1e400 is checked as a fraction: it overflows a float
+    for alpha in ("2", "-1/3", "1.5", "1e400"):
         code, out, err = _run(capsys, "concentration", "--family", "path", "--n", "10",
                               f"--alpha={alpha}", "--epsilon", "0.1")
         assert code == cli.EXIT_USAGE and out == "", alpha

@@ -50,6 +50,8 @@ def test_blind_expectation_ktree_edge_cases():
         exact.blind_expectation_ktree(0, 5, 2)
     with pytest.raises(ParameterError):
         exact.blind_expectation_ktree(3, 2, 1)
+    with pytest.raises(ParameterError):
+        exact.blind_expectation_ktree(2, 5, 9)  # l > n
 
 
 def test_blind_expectation_ktree_matches_fraction_products():
@@ -88,6 +90,8 @@ def test_brute_force_blind_matches_tree_formula():
 def test_brute_force_blind_caps():
     with pytest.raises(ResourceLimitError):
         exact.brute_force_blind(_path(31), 2)
+    with pytest.raises(ParameterError):
+        exact.brute_force_blind(_path(3), -1)
 
 
 def test_cc_of_mask():

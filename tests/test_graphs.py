@@ -394,6 +394,9 @@ def test_family_random_tree_uniform_and_seeded():
     assert graphs.graph_from_construction(seq).edges() == g.edges()
     g2, _ = graphs.gen_named_family("random_tree", {"n": 25, "seed": 3})
     assert g2.edges() == g.edges()
+    one, seq = graphs.gen_named_family("random_tree", {"n": 1, "seed": 3})
+    assert one.n == 1 and one.edges() == []
+    assert seq.order == ((0, frozenset()),)
 
 
 def test_family_grid_shape():
@@ -501,6 +504,8 @@ def test_file_parse_errors_carry_line_numbers():
         graphs.read_sequence(io.StringIO("q 2\n"))
     with pytest.raises(ValidationError, match="line 3"):
         graphs.read_sequence(io.StringIO("k 1\nv 0 m\nv 1 n 0\n"))
+    with pytest.raises(ValidationError, match="line 4: duplicate ids"):
+        graphs.read_sequence(io.StringIO("k 2\nv 0 m\nv 1 m 0\nv 2 m 0 0\n"))
 
 
 def test_random_tree_edges_match_prufer_degrees():

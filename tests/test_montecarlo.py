@@ -2,11 +2,12 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from stopcc import exact, graphs, strategies
+from stopcc import exact, graphs, montecarlo, strategies
 from stopcc.activation import ActivationState
 from stopcc.errors import ParameterError
 from stopcc.graphs import Graph
@@ -32,6 +33,30 @@ def test_config_validation():
     for threads in (0, -5):
         with pytest.raises(ParameterError):
             EstimatorConfig(replications=10, seed=1, threads=threads)
+
+
+def test_one_replication_has_zero_spread():
+    cfg = EstimatorConfig(replications=1, seed=2)
+    est = estimate_strategy(_path(6), None, strategies.blind_threshold(3), cfg)
+    assert est.std_error == 0.0
+    assert est.ci_low == est.mean == est.ci_high
+
+
+def test_every_estimate_draws_each_replication_once_in_order():
+    g, seq = graphs.gen_named_family("random_tree", {"n": 12, "seed": 4})
+    cfg = EstimatorConfig(replications=7, seed=19)
+    specs = [strategies.blind_threshold(5), strategies.greedy_gain()]
+    estimates = (
+        lambda: estimate_strategy(g, seq, specs[0], cfg),
+        lambda: compare_strategies(g, seq, specs, cfg),
+        lambda: estimate_tail(g, Fraction(1, 2), 3, cfg),
+        lambda: blind_value_scan(g, cfg),
+    )
+    for estimate in estimates:
+        with mock.patch.object(montecarlo, "replication_permutation",
+                               wraps=montecarlo.replication_permutation) as draw:
+            estimate()
+        assert draw.call_args_list == [mock.call(19, i, 12) for i in range(7)]
 
 
 def test_replication_streams_are_reproducible_and_distinct():

@@ -119,6 +119,9 @@ def test_dp_strategy_follows_table_and_needs_one():
     state = ActivationState(g)
     with pytest.raises(UsageError, match="value table"):
         decide(dp_optimal(None), FullView(state))
+    # past the subset-DP cap the state keeps no active-set mask to look up
+    with pytest.raises(UsageError, match="subset-DP cap"):
+        decide(dp_optimal(table), FullView(ActivationState(_path(25))))
 
 
 def test_fixed_permutation_oracle():
@@ -177,6 +180,8 @@ def test_blind_optimal_threshold_ktree_small_and_prescan():
         blind_optimal_threshold("ktree", 3, k=3)
     with pytest.raises(ParameterError):
         blind_optimal_threshold("mystery", 9)
+    with pytest.raises(ParameterError):
+        blind_optimal_threshold("tree", 0)
 
 
 def test_parse_strategy_roundtrip():
@@ -199,7 +204,7 @@ def test_parse_strategy_roundtrip():
 
 
 def test_parse_strategy_errors():
-    for bad in ("blind", "blind:x=3", "greedy:fast", "twophase:alpha=1/3",
+    for bad in ("blind", "blind:x=3", "blind:l", "greedy:fast", "twophase:alpha=1/3",
                 "mystery", "blind:alpha=1/0", "blind:l=abc",
                 "twophase:alpha=1/3,gamma=1/2,trigger=a",
                 "twophase:alpha=1/3,gamma=1/2,trigger="):
