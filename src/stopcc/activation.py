@@ -13,7 +13,8 @@ vertex ids are an elimination order (every vertex's lower-id neighbours form
 a clique, as in a path, a star or a k-tree numbered in construction order),
 from the witness identity CC(S) = #{v in S: no lower-id neighbour of v in S};
 one per edge on a forest; and otherwise from a minimum spanning forest of the
-edge times (scipy).
+edge times.  Only that last branch uses scipy, and imports it on first use, so
+a process whose graphs never reach it never imports scipy.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import UsageError, ValidationError
 
@@ -240,6 +239,13 @@ def run_permutation(graph, seq, sigma):
     return trace
 
 
+def minimum_spanning_tree(weights, overwrite=False):
+    """scipy.sparse.csgraph.minimum_spanning_tree, imported on first call."""
+    from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
+
+    return scipy_mst(weights, overwrite=overwrite)
+
+
 def _merge_times(graph, sigma):
     """Merge times of the arrivals of sigma, a permutation or a prefix of
     one: for every t <= len(sigma), #{merge times <= t} is the number of
@@ -256,7 +262,7 @@ def _merge_times(graph, sigma):
         neighbour).  Vertex v stops being a witness at max(a_v, f_v), its
         arrival a_v or the first arrival f_v among its lower neighbours,
         whichever is later: one merge time per vertex.  The test reads the
-        edge arrays alone, never the scipy component count of is_forest();
+        edge arrays alone;
       - on a forest every edge merges, at its time;
       - otherwise, by Kruskal's matroid property, the merge times are the
         weights of a minimum spanning forest of the edge times (Newman &
@@ -274,6 +280,8 @@ def _merge_times(graph, sigma):
     times = arrival[eu]
     np.maximum(times, arrival[ev], out=times)
     if not graph.is_forest():
+        from scipy.sparse import csr_matrix
+
         present = times <= t
         weights = csr_matrix(
             (times[present], (eu[present], ev[present])), shape=(graph.n, graph.n)

@@ -17,13 +17,13 @@ from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ParameterError, ValidationError
 
 # vertex ids are stored as int32 in the edge arrays and every kernel
 ID_LIMIT = np.iinfo(np.int32).max
+# pairs that _are_edges looks up before the rest
+_PROBE = 64
 
 
 class Graph:
@@ -122,6 +122,11 @@ class Graph:
 
     @cached_property
     def _component_count(self):
+        # scipy's start-up is most of a short process's, so only graphs that
+        # need this count import it
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
         eu, ev = self.edge_arrays
         ones = np.ones(len(eu))
         c, _ = connected_components(
@@ -180,11 +185,20 @@ class Graph:
         return later, earlier, depth
 
     def is_forest(self):
-        """True iff the graph is acyclic: every edge joins two components,
-        so m = n - c."""
-        m = self.edge_count
-        if m >= self.n > 0:  # more edges than a forest can have
+        """True iff the graph is acyclic.  Computed once per graph."""
+        return self._acyclic
+
+    @cached_property
+    def _acyclic(self):
+        # no vertex with two lower-id neighbours means no cycle, since a
+        # cycle's highest vertex has two; then no component count is needed
+        eu, ev = self.edge_arrays
+        m = len(ev)
+        if m == 0 or np.bincount(ev).max() <= 1:
+            return True
+        if m >= self.n:  # more edges than a forest can have
             return False
+        # every edge of a forest joins two components, so m = n - c
         return m == self.n - self._component_count
 
     def is_connected(self):
@@ -339,11 +353,17 @@ def _edge_arrays(n, keys):
 
 def _are_edges(n, eu, ev, a, b):
     """True iff every pair (a[i], b[i]) is an edge of the graph with the
-    lexicographic edge arrays (eu, ev): a lookup in the sorted edge keys."""
+    lexicographic edge arrays (eu, ev): a lookup in the sorted edge keys.
+    The first _PROBE pairs are looked up first, so a graph that fails there,
+    as a grid does at its first pair, skips the full lookup."""
     keys = eu.astype(np.int64) * n + ev
-    wanted = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
-    at = np.searchsorted(keys, wanted)
-    return bool(np.array_equal(keys[np.minimum(at, len(keys) - 1)], wanted))
+    for part in (slice(None, _PROBE), slice(_PROBE, None)):
+        x, y = a[part], b[part]
+        wanted = np.minimum(x, y).astype(np.int64) * n + np.maximum(x, y)
+        at = np.searchsorted(keys, wanted)
+        if not np.array_equal(keys[np.minimum(at, len(keys) - 1)], wanted):
+            return False
+    return True
 
 
 def _sorted_arcs(n, u, v):

@@ -441,15 +441,59 @@ def test_metagame_phi_max(capsys):
         assert abs(metagame.phi(*pt) - 0.25) <= 1e-12
 
 
-def test_cli_import_skips_scipy_optimize():
+def _python(code):
+    """stdout of a fresh interpreter running code with this package on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import stopcc.cli, sys; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_skips_scipy_optimize():
+    out = _python("import stopcc.cli, sys; print('scipy.optimize' in sys.modules)")
     assert out.strip() == "False"
+
+
+_SCIPY_FREE_RUNS = """
+import contextlib, io, json, sys
+import stopcc.cli as cli
+
+def main(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0, argv
+    return out.getvalue()
+
+main("run", "--family", "two_star_plus_star", "--n", "3000", "--strategy", "blind:alpha=1/3",
+     "--strategy", "twophase:alpha=1/3,gamma=1/2,trigger=0|1", "--mode", "mc", "--reps", "4")
+main("run", "--ktree", "2", "--n", "60", "--strategy", "greedy", "--mode", "mc", "--reps", "4")
+main("run", "--family", "path", "--n", "12", "--strategy", "greedy", "--mode", "dp")
+main("blind-scan", "--kind", "ktree", "--k", "2", "--n", "50")
+main("metagame", "phi-max")
+print(json.dumps("scipy" in sys.modules))
+print(main("concentration", "--family", "grid", "--d", "2", "--side", "10",
+           "--alpha", "1/3", "--epsilon", "0.1", "--reps", "20", "--seed", "5"))
+print(json.dumps("scipy" in sys.modules))
+"""
+
+
+def test_forests_and_eliminating_ids_never_import_scipy():
+    # scipy serves only non-forests whose ids do not eliminate, such as the
+    # grid, and imports on that first use with the report unchanged
+    lines = _python(_SCIPY_FREE_RUNS).splitlines()
+    assert json.loads(lines[0]) is False
+    assert json.loads(lines[-1]) is True
+    report = json.loads("\n".join(lines[1:-1]))
+    del report["wall_clock_s"]
+    assert report == {
+        "alpha": 1 / 3, "beta": 1.8, "epsilon": 0.1,
+        "instance": {"family": "grid", "n": 100, "seed": 5},
+        "tail_bound": 5.000000000000001e-07,
+        "tail_estimate": {"ci_high": 0.36100627536567476, "ci_low": -0.061006275365674795,
+                          "mean": 0.15, "replications": 20, "seed": 5,
+                          "std_error": 0.08191780219091253, "zero_hit_upper": None},
+        "threshold": 16.333333333333336, "tool": "stopcc", "version": "0.1.0"}
 
 
 def test_bad_strategy_text_exits_usage(capsys):

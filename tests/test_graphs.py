@@ -216,14 +216,37 @@ def test_forest_and_connectivity_flags():
     assert not Graph.from_edges(4, [(0, 1), (1, 2)]).is_connected()
     rng = random.Random(11)
     verdicts = set()
+    forest_verdicts = set()
     for _ in range(300):
         n = rng.randint(0, 9)
         pairs = list(itertools.combinations(range(n), 2))
         edges = rng.sample(pairs, rng.randint(0, len(pairs)))
         expected = _bfs_connected(n, edges)
-        assert Graph.from_edges(n, edges).is_connected() == expected, (n, edges)
+        g = Graph.from_edges(n, edges)
+        assert g.is_connected() == expected, (n, edges)
         verdicts.add(expected)
-    assert verdicts == {True, False}
+        assert g.is_forest() == _scipy_forest(g), (n, edges)
+        forest_verdicts.add(g.is_forest())
+        # a random forest: each vertex hangs from an earlier one or starts a tree
+        forest = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+        in_order = Graph.from_edges(n, forest)
+        assert in_order.is_forest() and _scipy_forest(in_order)
+        assert "_component_count" not in vars(in_order)  # no count was needed
+        label = rng.sample(range(n), n)
+        shuffled = Graph.from_edges(n, [(label[u], label[v]) for u, v in forest])
+        assert shuffled.is_forest() and _scipy_forest(shuffled)
+    assert verdicts == forest_verdicts == {True, False}
+
+
+def _scipy_forest(g):
+    """m = n - c, with c counted by scipy: the independent forest test."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    eu, ev = g.edge_arrays
+    c, _ = connected_components(
+        csr_matrix((np.ones(len(eu)), (eu, ev)), shape=(g.n, g.n)), directed=False)
+    return g.edge_count == g.n - c
 
 
 def _sample_k2_sequence():
@@ -612,6 +635,22 @@ def test_ids_eliminate_matches_the_lower_clique_oracle(g):
         _check_elimination_arcs(g)
         later, earlier, _ = g.elimination_arcs
         assert np.all(later > earlier)  # ranked by id
+
+
+def test_edge_lookup_stops_at_a_failing_probe_and_checks_the_rest():
+    # a strip of triangles: each vertex's lower neighbours are v-1 and v-2
+    n = 3 * graphs._PROBE
+    strip = [(v - d, v) for v in range(1, n) for d in (1, 2) if v >= d]
+    assert Graph.from_edges(n, strip).ids_eliminate
+    # without edge (n-3, n-2) only the last vertex fails, past the probe
+    torn = Graph.from_edges(n, [e for e in strip if e != (n - 3, n - 2)])
+    assert not torn.ids_eliminate and torn.elimination_arcs is None
+    # a grid fails at its first pair: only the probe is looked up
+    grid, _ = graphs.gen_named_family("grid", {"d": 2, "side": 30})
+    with mock.patch.object(graphs.np, "searchsorted", wraps=np.searchsorted) as search:
+        assert not grid.ids_eliminate
+    (_, wanted), = [c.args for c in search.call_args_list]
+    assert len(wanted) == graphs._PROBE
 
 
 def test_elimination_arcs_skip_the_search_when_the_ids_eliminate():
