@@ -19,6 +19,12 @@ repository except the record.
 
 The record holds, per workload and side, every run and the median and
 quartiles of each end-to-end metric, with operations attempted and failed.
+Per workload and metric it also gives the no-regression verdict, with the
+metric's ``bound`` read as a fraction of the parent's median: "worse beyond
+bound" when the change's median is worse than the parent's by more than the
+bound, otherwise "unresolved" when the parent's interquartile range exceeds
+the bound, otherwise "within bound"; every change run better than every
+parent run is "within bound" whatever the spread.
 With ``--claim W:METRIC`` it also lists the pairs of that metric and says
 whether the claim is met: the working tree better in at least nine tenths of
 the pairs, ties counting for neither, and the medians apart by more than the
@@ -92,6 +98,22 @@ def better(metric, a, b):
     return a < b if METRICS[metric]["better"] == "lower" else a > b
 
 
+def verdict(metric, parent, change):
+    """Whether the change holds metric within its bound of the parent, from
+    the two sides' summaries."""
+    if all(better(metric, c, p) for c in change["runs"] for p in parent["runs"]):
+        return "within bound"
+    limit = METRICS[metric]["bound"] * parent["median"]
+    worse_by = change["median"] - parent["median"]
+    if METRICS[metric]["better"] != "lower":
+        worse_by = -worse_by
+    if worse_by > limit:
+        return "worse beyond bound"
+    if parent["q3"] - parent["q1"] > limit:
+        return "unresolved"
+    return "within bound"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -153,6 +175,8 @@ def main():
         entry["change_over_parent_median"] = {
             name: round(entry["change"][name]["median"] / entry["parent"][name]["median"], 3)
             for name in METRICS}
+        entry["verdict"] = {name: verdict(name, entry["parent"][name], entry["change"][name])
+                            for name in METRICS}
         record["workloads"][workload] = entry
     if args.claim:
         by_side = runs[claim_workload]

@@ -1,9 +1,10 @@
 """Incremental state of one play: activate vertices, track component count,
 component-neighborhood sum, and (optionally) witnessing-vertex count.
 
-Component boundaries (the inactive neighbors of each component) are kept as
-per-root sets merged small-to-large, so the neighborhood sum stays exact in
-amortized O(log n) set operations per vertex.
+Components are a union-find forest whose roots hold their boundaries (the
+inactive neighbors) as sets merged small-to-large, so the neighborhood sum
+stays exact in amortized O(log n) set operations per vertex.  The root whose
+set survives a merge roots the merged component; path halving bounds finds.
 
 component_count_trace is the arrival-time kernel: the component count after
 every arrival of an order at once, with none of the other state.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +33,7 @@ from .errors import UsageError, ValidationError
 _MASK_CAP = 24
 
 
-@dataclass(frozen=True)
-class ActivationDelta:
+class ActivationDelta(NamedTuple):
     delta_cc: int
     cc: int
     nbr_sum: int
@@ -45,6 +46,9 @@ class ActivationState:
     When a construction sequence is supplied, the witnessing-vertex count
     (active v with its whole attachment set inactive) is maintained as well;
     initial-clique vertices use the earlier initial vertices as attachment.
+    activate(v) links v and the components next to it under the root whose
+    boundary set survives and returns an ActivationDelta, a named tuple;
+    component_root(v) is any one representative of v's component.
     """
 
     def __init__(self, graph, seq=None):
@@ -55,7 +59,6 @@ class ActivationState:
         self.cc = 0
         self.nbr_sum = 0
         self._parent = list(range(n))
-        self._size = [1] * n
         self._boundary = {}  # component root -> set of inactive neighbor ids
         self.active_mask = 0 if n <= _MASK_CAP else None
         if seq is not None:
@@ -83,7 +86,6 @@ class ActivationState:
         other.__dict__.update(self.__dict__)
         other.active = self.active[:]
         other._parent = self._parent[:]
-        other._size = self._size[:]
         other._boundary = {r: set(s) for r, s in self._boundary.items()}
         if self._deps is not None:
             other._m_active = self._m_active[:]
@@ -125,32 +127,23 @@ class ActivationState:
 
         # nbr_sum drops the old boundaries and gains the merged one, which
         # unions them small-to-large, drops v and adds v's inactive neighbours
-        boundary = self._boundary
+        boundary, parent = self._boundary, self._parent
         nbr_sum = self.nbr_sum
-        merged = set()
+        root, merged = v, set()
         for r in roots:
             s = boundary.pop(r)
             nbr_sum -= len(s)
             if len(s) > len(merged):
-                merged, s = s, merged
+                root, merged, s = r, s, merged
             merged |= s
+        for r in roots:
+            parent[r] = root
+        parent[v] = root
         merged.discard(v)
         for w in self.graph.adj[v]:
             if not active[w]:
                 merged.add(w)
         self.nbr_sum = nbr_sum + len(merged)
-
-        # v was never linked, so it is still its own root of size 1
-        parent, size = self._parent, self._size
-        root = v
-        for r in roots:
-            if size[r] >= size[root]:
-                parent[root] = r
-                size[r] += size[root]
-                root = r
-            else:
-                parent[r] = root
-                size[root] += size[r]
         boundary[root] = merged
 
         if self._deps is not None:

@@ -94,14 +94,29 @@ def _family_params(family, args):
             params[key] = value
     if family == "random_tree":
         params["seed"] = args.seed
-    if args.ratio is not None and family == "two_star_plus_star":
+    if args.ratio is not None:
         params["ratio"] = strategies._parse_fraction(args.ratio)
     return params
 
 
+# the size flags that each instance source other than --family never reads;
+# gen_named_family rejects the ones a family does not take
+_UNREAD_FLAGS = {"--seq-file": (*_SIZE_FLAGS, "ratio"), "--ktree": ("k", "d", "side", "ratio")}
+
+
 def _build_instance(args):
-    """Resolve the instance flags into (graph, seq, descriptor)."""
-    if getattr(args, "seq_file", None):
+    """Resolve the instance flags into (graph, seq, descriptor), after
+    checking that one source is given and no flag it ignores."""
+    given = {"--family": args.family, "--ktree": args.ktree, "--seq-file": args.seq_file}
+    sources = [flag for flag, value in given.items() if value is not None]
+    if len(sources) > 1:
+        raise UsageError(f"give one instance source, not {' and '.join(sources)}")
+    for source in sources:
+        unread = [f"--{key}" for key in _UNREAD_FLAGS.get(source, ())
+                  if getattr(args, key) is not None]
+        if unread:
+            raise UsageError(f"{source} does not read {', '.join(unread)}")
+    if args.seq_file:
         try:
             with open(args.seq_file) as fh:
                 seq = graphs.read_sequence(fh)
@@ -110,7 +125,7 @@ def _build_instance(args):
             raise OSError(f"{args.seq_file}: {e}") from e
         g = graphs.graph_from_construction(seq)
         return g, seq, {"source": "seq_file", "path": args.seq_file, "n": g.n, "k": seq.k}
-    if getattr(args, "ktree", None) is not None:
+    if args.ktree is not None:
         if args.n is None:
             raise UsageError("--ktree needs --n")
         seq = graphs.gen_random_ktree(args.ktree, args.n, args.seed)
@@ -121,7 +136,7 @@ def _build_instance(args):
             "n": args.n,
             "seed": args.seed,
         }
-    if getattr(args, "family", None):
+    if args.family:
         g, seq = graphs.gen_named_family(args.family, _family_params(args.family, args))
         desc = {"family": args.family, "n": g.n, "seed": args.seed}
         if args.k is not None:

@@ -499,16 +499,12 @@ def _tree_family(n, edges, root=0):
     order = [(root, frozenset())]
     seen = bytearray(n)
     seen[root] = 1
-    queue = [root]
-    while queue:
-        nxt = []
-        for u in queue:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    order.append((w, frozenset([u])))
-                    nxt.append(w)
-        queue = nxt
+    # the order is its own queue: a list iterates over what is appended
+    for u, _ in order:
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = 1
+                order.append((w, frozenset([u])))
     return Graph.from_edges(n, edges), ConstructionSequence(1, tuple(order))
 
 
@@ -569,6 +565,8 @@ def gen_named_family(family, params):
         ratio = p.pop("ratio", Fraction(999, 1000))
         attach = p.pop("attach", "center")
         _reject_extras(family, p)
+        if attach not in ("center", "leaf"):
+            raise ParameterError(f"attach must be 'center' or 'leaf', got {attach!r}")
         m2 = math.ceil(Fraction(ratio) * n)
         if m2 < 3 or n - m2 < 2:
             raise ParameterError(

@@ -9,6 +9,7 @@ Rules are scored by strategies.run_strategy, tails by activation.component_count
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -40,6 +41,8 @@ class EstimatorConfig:
             raise ParameterError("ci_level must lie in (0,1)")
         if self.threads < 1:
             raise ParameterError("threads must be >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,57 @@ def test_large_graph_skips_mask_but_keeps_counts():
     assert state.nbr_sum == state.recount_nbr_sum()
 
 
+def _flood_fill_labels(g, active):
+    """Component label of every active vertex, by a flood fill of its own."""
+    label = {}
+    for s in range(g.n):
+        if active[s] and s not in label:
+            label[s] = s
+            stack = [s]
+            while stack:
+                for w in g.adj[stack.pop()]:
+                    if active[w] and w not in label:
+                        label[w] = s
+                        stack.append(w)
+    return label
+
+
+def _merge_rule_orders():
+    """Orders of about 200 vertices that move the surviving root often."""
+    n = 200
+    path, _ = graphs.gen_named_family("path", {"n": n})
+    ends = [v for pair in zip(range(n // 2), range(n - 1, n // 2 - 1, -1)) for v in pair]
+    yield "path from both ends", path, None, ends
+    star, star_seq = graphs.gen_named_family("star", {"n": n - 1})
+    yield "star leaves first", star, star_seq, [*range(1, n), 0]
+    side = 14
+    grid, _ = graphs.gen_named_family("grid", {"d": 2, "side": side})
+    yield "grid row-major", grid, None, list(range(side * side))
+    snake = [r * side + (c if r % 2 == 0 else side - 1 - c)
+             for r in range(side) for c in range(side)]
+    yield "grid snake", grid, None, snake
+    seq = graphs.gen_random_ktree(3, n, seed=5)
+    sigma = list(range(n))
+    random.Random(5).shuffle(sigma)
+    yield "3-tree random", graphs.graph_from_construction(seq), seq, sigma
+
+
+def test_merge_survivor_roots_each_component_once():
+    for name, g, seq, sigma in _merge_rule_orders():
+        assert sorted(sigma) == list(range(g.n)), name
+        state = ActivationState(g, seq)
+        for v in sigma:
+            state.activate(v)
+            assert (state.cc, state.nbr_sum) == (
+                state.recount_cc(), state.recount_nbr_sum()), (name, v)
+            # one root per flood-filled component, a different one for each
+            roots = {}
+            for u, label in _flood_fill_labels(g, state.active).items():
+                roots.setdefault(label, set()).add(state.component_root(u))
+            assert all(len(r) == 1 for r in roots.values()), (name, v)
+            assert len(set.union(*roots.values())) == len(roots) == state.cc, (name, v)
+
+
 def _scipy_recount(g, vertices):
     """Components of the subgraph induced by vertices, counted by scipy; the
     other vertices are isolated in the matrix and subtracted."""

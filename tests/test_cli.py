@@ -309,6 +309,55 @@ def test_run_seq_file_instance(tmp_path, capsys):
     assert json.loads(out)["instance"]["source"] == "seq_file"
 
 
+def test_instance_flags_the_source_ignores_exit_usage(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "s.txt"
+    with open(path, "w") as fh:
+        graphs.write_sequence(graphs.gen_random_ktree(1, 8, seed=2), fh)
+    tail = ["--strategy", "greedy", "--mode", "exact"]
+    # the family builder rejects a ratio on every family but two_star_plus_star
+    for family, argv in (("path", ["run", "--family", "path", *tail]),
+                         ("star", ["generate", "family", "--name", "star"])):
+        code, out, err = _run(capsys, *argv, "--n", "5", "--ratio", "1/2")
+        assert code == cli.EXIT_USAGE and out == "", argv
+        assert err.strip() == f"stopcc: unknown parameters for {family}: ['ratio']", argv
+
+    def no_instance(*args):
+        raise AssertionError("an instance was built from conflicting flags")
+
+    for name in ("gen_named_family", "gen_random_ktree", "read_sequence"):
+        monkeypatch.setattr(graphs, name, no_instance)
+    cases = (
+        (["run", "--ktree", "2", "--n", "10", "--k", "5", "--d", "3", "--ratio", "1/2", *tail],
+         "--ktree does not read --k, --d, --ratio"),
+        (["run", "--seq-file", str(path), "--n", "99", "--side", "4", *tail],
+         "--seq-file does not read --n, --side"),
+        (["run", "--family", "path", "--ktree", "2", "--n", "10", *tail],
+         "give one instance source, not --family and --ktree"),
+        (["concentration", "--seq-file", str(path), "--ktree", "1", "--n", "8",
+          "--alpha", "1/2", "--epsilon", "0.1"],
+         "give one instance source, not --ktree and --seq-file"),
+    )
+    for argv, message in cases:
+        code, out, err = _run(capsys, *argv)
+        assert code == cli.EXIT_USAGE and out == "", argv
+        assert err.strip() == f"stopcc: {message}", argv
+
+
+def test_a_seed_numpy_cannot_take_exits_before_any_work(monkeypatch, capsys):
+    def no_instance(*args):
+        raise AssertionError("an instance was built for a negative seed")
+
+    monkeypatch.setattr(graphs, "gen_named_family", no_instance)
+    grid = ["--family", "grid", "--d", "2", "--side", "300", "--seed", "-1"]
+    for argv in (["concentration", *grid, "--alpha", "1/2", "--epsilon", "0.1"],
+                 ["run", *grid, "--strategy", "blind:l=3", "--mode", "mc"],
+                 ["run", *grid, "--strategy", "blind:l=3", "--mode", "exact"],
+                 ["run", *grid, "--strategy", "dp", "--mode", "dp"]):
+        code, out, err = _run(capsys, *argv)
+        assert code == cli.EXIT_USAGE and out == "", argv
+        assert err.strip() == "stopcc: seed must be an integer >= 0, got -1", argv
+
+
 def test_missing_and_malformed_files_exit_io(tmp_path, capsys):
     code, _, err = _run(capsys, "run", "--seq-file", str(tmp_path / "nope"),
                         "--strategy", "greedy", "--mode", "mc")

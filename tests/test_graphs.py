@@ -408,6 +408,8 @@ def test_family_two_star_plus_star_shape():
     assert g.has_edge(0, 1) and g.has_edge(2, 15)
     with pytest.raises(ParameterError, match="split"):
         graphs.gen_named_family("two_star_plus_star", {"n": 6})
+    with pytest.raises(ParameterError, match="attach"):
+        graphs.gen_named_family("two_star_plus_star", {"n": 3000, "attach": "cneter"})
 
 
 def test_family_random_tree_uniform_and_seeded():

@@ -33,6 +33,10 @@ def test_config_validation():
     for threads in (0, -5):
         with pytest.raises(ParameterError):
             EstimatorConfig(replications=10, seed=1, threads=threads)
+    for seed in (-1, 1.5, "3", None):
+        with pytest.raises(ParameterError, match="seed"):
+            EstimatorConfig(replications=10, seed=seed)
+    assert EstimatorConfig(replications=10, seed=np.int64(3)).seed == 3
 
 
 def test_one_replication_has_zero_spread():
