@@ -214,8 +214,11 @@ def check_permutation(sigma, n):
     rejected: the check would consume them."""
     a = np.asarray(sigma)
     a = a if a.size else a.astype(np.intp)  # [] carries no integer dtype
-    is_int = a.dtype.kind in "iu"
-    if not (is_int and a.shape == (n,) and np.array_equal(np.sort(a), np.arange(n))):
+    # n ids in 0..n-1 with none repeated are each id once; older numpy
+    # bincounts no uint64 array
+    if not (a.dtype.kind in "iu" and a.shape == (n,) and (
+            n == 0 or (a.min() >= 0 and a.max() < n
+                       and np.bincount(a.astype(np.intp, copy=False)).max() == 1))):
         raise ValidationError(f"not a permutation of 0..{n - 1}")
     return a
 
@@ -232,11 +235,12 @@ def run_permutation(graph, seq, sigma):
     return trace
 
 
-def minimum_spanning_tree(weights, overwrite=False):
-    """scipy.sparse.csgraph.minimum_spanning_tree, imported on first call."""
+def minimum_spanning_tree(weights):
+    """scipy.sparse.csgraph.minimum_spanning_tree, imported on first call;
+    it may overwrite weights."""
     from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
 
-    return scipy_mst(weights, overwrite=overwrite)
+    return scipy_mst(weights, overwrite=True)
 
 
 def _merge_times(graph, sigma):
@@ -279,21 +283,33 @@ def _merge_times(graph, sigma):
         weights = csr_matrix(
             (times[present], (eu[present], ev[present])), shape=(graph.n, graph.n)
         )
-        times = minimum_spanning_tree(weights, overwrite=True).data.astype(np.int32)
+        times = minimum_spanning_tree(weights).data.astype(np.int32)
     return times
+
+
+def merge_counts(graph, sigma):
+    """Merges at each time of the arrivals of sigma, a permutation or a
+    prefix of one: an integer array of length len(sigma)+1 whose entry t
+    counts the merge times equal to t."""
+    t = len(sigma)
+    return np.bincount(_merge_times(graph, sigma), minlength=t + 2)[: t + 1]
+
+
+def counts_from_merges(merges, orders=1):
+    """Component count at each time, from merge_counts summed over `orders`
+    orders: entry t is the sum of the orders' counts after t arrivals.
+
+    Each arrival adds a component and each merge removes one, so
+    CC(t) = t - #{merge times <= t} in each order.
+    """
+    return orders * np.arange(len(merges)) - np.cumsum(merges)
 
 
 def component_count_trace(graph, sigma):
     """Component count after each arrival of sigma, a permutation or a prefix
     of one.  Returns a list of length len(sigma)+1 whose entry t is the CC of
-    the first t arrivals.
-
-    Each arrival adds a component and each merge removes one, so
-    CC(t) = t - #{merge times <= t}.
-    """
-    t = len(sigma)
-    merges = np.bincount(_merge_times(graph, sigma), minlength=t + 2)[: t + 1]
-    return (np.arange(t + 1) - np.cumsum(merges)).tolist()
+    the first t arrivals."""
+    return counts_from_merges(merge_counts(graph, sigma)).tolist()
 
 
 def component_count(graph, prefix):

@@ -28,12 +28,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_IO = 4
 
-BLIND_SCAN_CAP = 10**6
-# peak memory per curve row, estimated high: 190 bytes at small k; beyond
-# that the numerators carry (k+1) log2(n) bits, and tracemalloc peaks fit
-# 81 + (k+1) bits(n) / 4 bytes (84, 156, 844 at k = 1, 20, 200, n = 2*10^4)
-BLIND_SCAN_ROW_BYTES = 190
-BLIND_SCAN_BUDGET = 10**9  # bytes
 # a replication costs 40-90 us on a one-vertex path (2-core x86), so the cap
 # admits runs of minutes even there; the scores, kept as one Python number
 # each until the estimate, stay under about 0.5 GB
@@ -104,6 +98,14 @@ def _family_params(family, args):
 _UNREAD_FLAGS = {"--seq-file": (*_SIZE_FLAGS, "ratio"), "--ktree": ("k", "d", "side", "ratio")}
 
 
+def _reject_unread(args, reader, keys):
+    """UsageError naming each flag of keys that was given, since reader
+    ignores them."""
+    unread = [f"--{key.replace('_', '-')}" for key in keys if getattr(args, key) is not None]
+    if unread:
+        raise UsageError(f"{reader} does not read {', '.join(unread)}")
+
+
 def _build_instance(args):
     """Resolve the instance flags into (graph, seq, descriptor), after
     checking that one source is given and no flag it ignores."""
@@ -112,10 +114,7 @@ def _build_instance(args):
     if len(sources) > 1:
         raise UsageError(f"give one instance source, not {' and '.join(sources)}")
     for source in sources:
-        unread = [f"--{key}" for key in _UNREAD_FLAGS.get(source, ())
-                  if getattr(args, key) is not None]
-        if unread:
-            raise UsageError(f"{source} does not read {', '.join(unread)}")
+        _reject_unread(args, source, _UNREAD_FLAGS.get(source, ()))
     if args.seq_file:
         try:
             with open(args.seq_file) as fh:
@@ -186,6 +185,7 @@ def cmd_generate(args):
     if args.kind == "ktree":
         if args.k is None or args.n is None:
             raise UsageError("generate ktree needs --k and --n")
+        _reject_unread(args, "generate ktree", ("name", "d", "side", "ratio", "seq_out"))
         seq = graphs.gen_random_ktree(args.k, args.n, args.seed)
         with _output(args.out) as fh:
             graphs.write_sequence(seq, fh)
@@ -206,6 +206,8 @@ def cmd_generate(args):
 
 def cmd_blind_scan(args):
     n = args.n
+    if args.kind == "tree":
+        _reject_unread(args, "blind-scan --kind tree", ("k",))
     k = 1 if args.kind == "tree" else args.k  # l(n-l+1)/n is the width-1 curve
     if k is None:
         raise UsageError("blind-scan --kind ktree needs --k")
@@ -213,19 +215,7 @@ def cmd_blind_scan(args):
         raise ParameterError(
             f"blind-scan --kind {args.kind} needs --n >= {max(k, 1)}, got --n {n}"
         )
-    need = n * max(BLIND_SCAN_ROW_BYTES, 100 + (k + 1) * n.bit_length() // 3)
-    if n > BLIND_SCAN_CAP:
-        raise ResourceLimitError(
-            f"blind-scan capped at n={BLIND_SCAN_CAP}, got n={n}, which needs "
-            f"about {need // 10**6} MB"
-        )
-    if need > BLIND_SCAN_BUDGET:
-        raise ResourceLimitError(
-            f"blind-scan with k={k}, n={n} needs about {need // 10**6} MB, above "
-            f"its budget of {BLIND_SCAN_BUDGET // 10**6} MB"
-        )
-    numerators, denominator = exact.blind_curve_ktree(k, n)
-    best = numerators.index(max(numerators))
+    numerators, denominator, best = exact.blind_curve(k, n)
     # int / int rounds correctly, so each value has float(Fraction)'s bits
     with _output(args.out) as fh:
         fh.write("l,expected_cc,is_argmax\n")
@@ -242,6 +232,10 @@ def cmd_run(args):
     cfg = _estimator_config(args)
     g, seq, descriptor = _build_instance(args)
     specs = [strategies.parse_strategy(text) for text in args.strategy]
+    if args.mode == "dp":
+        others = [text for text, spec in zip(args.strategy, specs) if spec.kind != "dp_optimal"]
+        if others:
+            raise UsageError(f"--mode dp solves only the dp rule, not {', '.join(others)}")
     if args.mode == "exact" and g.n > exact.PERM_CAP:
         raise ResourceLimitError(
             f"exact mode enumerates n! permutations and is capped at "
@@ -327,6 +321,7 @@ def cmd_concentration(args):
 
 def cmd_metagame(args):
     if args.sub == "phi-max":
+        _reject_unread(args, "metagame phi-max", ("k",))
         result = metagame.maximize_phi()
         report = {
             "max_value": result.max_value,

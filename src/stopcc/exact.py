@@ -26,6 +26,12 @@ DP_CAP = 24
 DP_EXACT_CAP = 12
 PERM_CAP = 9
 SUBSET_ENUM_CAP = 10**8
+BLIND_CURVE_CAP = 10**6
+# peak memory per curve row, estimated high: 190 bytes at small k; beyond
+# that the numerators carry (k+1) log2(n) bits, and tracemalloc peaks fit
+# 81 + (k+1) bits(n) / 4 bytes (84, 156, 844 at k = 1, 20, 200, n = 2*10^4)
+BLIND_CURVE_ROW_BYTES = 190
+BLIND_CURVE_BUDGET = 10**9  # bytes
 
 # accumulated float error in the DP is below n * 2**-50; this dominates it
 DP_TIE_TOL = 1e-9
@@ -67,6 +73,22 @@ def blind_curve_ktree(k, n, ls=None):
         acc = [scale + (n - m - l) * a for l, a in zip(ls, acc)]
         scale *= n - m
     return [l * a for l, a in zip(ls, acc)], scale
+
+
+def blind_curve(k, n):
+    """The whole exact blind curve of width k on n vertices and its first
+    argmax: (numerators, common denominator, best l), from
+    blind_curve_ktree(k, n).  ResourceLimitError, before any list is built,
+    above n = BLIND_CURVE_CAP or when the rows would need more than
+    BLIND_CURVE_BUDGET bytes."""
+    need = n * max(BLIND_CURVE_ROW_BYTES, 100 + (k + 1) * n.bit_length() // 3)
+    if n > BLIND_CURVE_CAP or need > BLIND_CURVE_BUDGET:
+        raise ResourceLimitError(
+            f"the exact blind curve with k={k}, n={n} needs about {need // 10**6} MB; "
+            f"it is capped at n={BLIND_CURVE_CAP} and {BLIND_CURVE_BUDGET // 10**6} MB"
+        )
+    numerators, denominator = blind_curve_ktree(k, n)
+    return numerators, denominator, numerators.index(max(numerators))
 
 
 def _adjacency_masks(graph):

@@ -3,7 +3,8 @@
 Replication i draws its permutation from an independent substream keyed by
 (master seed, i) via numpy's SeedSequence and runs in index order on one
 thread, so results are bit-identical for a given seed and replication count.
-Rules are scored by strategies.run_strategy, tails by activation.component_count.
+Rules are scored by strategies.run_strategy, tails by activation.component_count
+and the blind scan by activation.merge_counts.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from statistics import NormalDist
 import numpy as np
 
 from . import strategies
-from .activation import component_count, component_count_trace
+# component_count_trace is not called here, but callers read it through this module
+from .activation import component_count, component_count_trace, counts_from_merges, merge_counts
 from .errors import ParameterError
 
 @dataclass(frozen=True)
@@ -140,8 +142,7 @@ def compare_strategies(graph, seq, specs, cfg):
 
 def blind_value_scan(graph, cfg):
     """Monte Carlo mean component count for every blind threshold l at once:
-    one component trace per replication covers all l in [0, n]."""
-    sums = np.zeros(graph.n + 1, dtype=np.float64)
-    for sigma in _permutations(cfg, graph.n):
-        sums += np.array(component_count_trace(graph, sigma), dtype=np.float64)
-    return sums / cfg.replications
+    the merge counts of each replication, summed in integers, give the
+    summed component counts of every l in [0, n]."""
+    merges = sum(merge_counts(graph, sigma) for sigma in _permutations(cfg, graph.n))
+    return counts_from_merges(merges, cfg.replications) / cfg.replications

@@ -228,10 +228,13 @@ def blind_optimal_threshold(kind, n, k=None):
     """Best fixed stopping count l and its exact expected component count:
     the first argmax over every l of the exact witness curve of width k
     (k = 1 for kind "tree"), compared in integers over its common denominator.
+    exact.blind_curve refuses a curve above its caps before building it.
     """
     from . import exact  # deferred: exact imports this module
 
     if kind == "tree":
+        if k is not None:
+            raise ParameterError(f"the tree curve has width 1 and takes no k, got k={k}")
         if n < 1:
             raise ParameterError("need n >= 1")
         k = 1  # l(n-l+1)/n is the width-1 curve
@@ -239,8 +242,7 @@ def blind_optimal_threshold(kind, n, k=None):
         raise ParameterError(f"unknown kind {kind!r}; expected 'tree' or 'ktree'")
     elif k is None or k < 1 or n < k + 1:
         raise ParameterError("ktree kind needs k >= 1 and n >= k+1")
-    numerators, denominator = exact.blind_curve_ktree(k, n)
-    best = numerators.index(max(numerators))
+    numerators, denominator, best = exact.blind_curve(k, n)
     return best, Fraction(numerators[best], denominator)
 
 

@@ -86,8 +86,11 @@ def test_check_permutation():
     assert check_permutation([2, 0, 1], 3).tolist() == [2, 0, 1]
     check_permutation(np.array([2, 0, 1]), 3)
     assert check_permutation([], 0).dtype.kind == "i"
+    assert check_permutation(np.array([1, 2, 0], dtype=np.uint64), 3).tolist() == [1, 2, 0]
     bad = [
         [0, 0, 1],
+        [-1, 0, 1],
+        [0, 1, 3],
         [0, 1],
         np.array([0, 2, 2]),
         (v for v in [0, 2, 1]),  # one-shot: checking it would consume it
@@ -96,7 +99,7 @@ def test_check_permutation():
         [0.0, 2.0, 1.0],
     ]
     for sigma in bad:
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"not a permutation of 0\.\.2"):
             check_permutation(sigma, 3)
     with pytest.raises(ValidationError):
         run_permutation(Graph.from_edges(3, [(0, 1)]), None, iter([0, 2, 1]))

@@ -61,6 +61,26 @@ def test_generate_usage_errors(tmp_path, capsys):
     assert out == "" and not gpath.exists() and not spath.exists()
 
 
+def test_flags_a_command_does_not_read_exit_usage_before_any_output(tmp_path, capsys):
+    out_path, seq_path = tmp_path / "out.txt", tmp_path / "seq.txt"
+    ktree = ("generate", "ktree", "--k", "2", "--n", "12", "-o", str(out_path))
+    cases = (
+        ((*ktree, "--name", "path"), "--name"),
+        ((*ktree, "--d", "3"), "--d"),
+        ((*ktree, "--side", "4"), "--side"),
+        ((*ktree, "--ratio", "1/2"), "--ratio"),
+        ((*ktree, "--seq-out", str(seq_path)), "--seq-out"),
+        ((*ktree, "--d", "3", "--side", "4", "--ratio", "1/2"), "--d, --side, --ratio"),
+        (("blind-scan", "--kind", "tree", "--n", "5", "--k", "7", "-o", str(out_path)), "--k"),
+        (("metagame", "phi-max", "--k", "3", "-o", str(out_path)), "--k"),
+    )
+    for argv, flags in cases:
+        code, out, err = _run(capsys, *argv)
+        assert code == cli.EXIT_USAGE and out == "", argv
+        assert f"does not read {flags}" in err, argv
+        assert not out_path.exists() and not seq_path.exists(), argv
+
+
 def test_blind_scan_csv(capsys):
     code, out, _ = _run(capsys, "blind-scan", "--kind", "tree", "--n", "5")
     assert code == 0
@@ -201,6 +221,17 @@ def test_run_dp_mode(capsys):
     assert result["per_vertex"] > 0.25
 
 
+def test_run_dp_mode_refuses_other_rules_before_solving(monkeypatch, capsys):
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the DP was solved")
+
+    monkeypatch.setattr(exact, "solve_dp", no_dp)
+    code, out, err = _run(capsys, "run", "--family", "path", "--n", "4", "--mode", "dp",
+                          "--strategy", "blind:l=2", "--strategy", "dp", "--strategy", "greedy")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("stopcc:") and "blind:l=2, greedy" in err
+
+
 def test_run_mc_mode_is_deterministic(tmp_path, capsys):
     argv = ["run", "--ktree", "2", "--n", "40", "--seed", "3",
             "--strategy", "greedy", "--strategy", "blind:alpha=1/3",
@@ -253,8 +284,9 @@ def test_report_key_sets_are_pinned(capsys):
         "mc": {"strategy", "mode"} | mc_keys,
     }
     for mode, result_keys in expected_results.items():
-        r = report("run", *path, "--strategy", "blind:l=2", "--strategy", "dp",
-                   "--mode", mode, "--reps", "5")
+        rules = ("--strategy", "dp") if mode == "dp" else ("--strategy", "blind:l=2",
+                                                            "--strategy", "dp")
+        r = report("run", *path, *rules, "--mode", mode, "--reps", "5")
         assert set(r) == {"tool", "version", "instance", "strategies", "mode",
                           "config", "results", "wall_clock_s"}, mode
         assert set(r["config"]) == {"reps", "seed", "ci_level", "threads"}, mode
@@ -517,7 +549,7 @@ def main(*argv):
 main("run", "--family", "two_star_plus_star", "--n", "3000", "--strategy", "blind:alpha=1/3",
      "--strategy", "twophase:alpha=1/3,gamma=1/2,trigger=0|1", "--mode", "mc", "--reps", "4")
 main("run", "--ktree", "2", "--n", "60", "--strategy", "greedy", "--mode", "mc", "--reps", "4")
-main("run", "--family", "path", "--n", "12", "--strategy", "greedy", "--mode", "dp")
+main("run", "--family", "path", "--n", "12", "--strategy", "dp", "--mode", "dp")
 main("blind-scan", "--kind", "ktree", "--k", "2", "--n", "50")
 main("metagame", "phi-max")
 print(json.dumps("scipy" in sys.modules))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stopcc import exact, graphs, montecarlo, strategies
-from stopcc.activation import ActivationState
+from stopcc.activation import ActivationState, component_count_trace
 from stopcc.errors import ParameterError
 from stopcc.graphs import Graph
 from stopcc.montecarlo import (
@@ -151,6 +151,30 @@ def test_blind_value_scan_matches_exact_curve():
     assert curve.shape == (4,)
     assert curve[0] == 0.0 and curve[3] == 1.0
     assert curve[2] == pytest.approx(4 / 3, abs=0.05)
+
+
+def test_blind_value_scan_is_the_mean_of_the_traces_bit_for_bit():
+    # the scan sums merge counts in integers; the reference sums each
+    # replication's trace in floats, as the scan once did
+    tree, _ = graphs.gen_named_family("random_tree", {"n": 40, "seed": 8})
+    label = np.random.default_rng(2).permutation(40)
+    relabelled = Graph.from_edges(40, [(label[u], label[v]) for u, v in tree.edges()])
+    grid, _ = graphs.gen_named_family("grid", {"d": 2, "side": 6})
+    star, _ = graphs.gen_named_family("two_star_plus_star", {"n": 3000})
+    # witness, forest and spanning-tree branches of the kernel
+    branches = {"path": (_path(25), True, True), "star": (star, True, False),
+                "tree": (relabelled, False, True), "grid": (grid, False, False)}
+    for name, (g, eliminates, forest) in branches.items():
+        assert (g.ids_eliminate, g.is_forest()) == (eliminates, forest), name
+        for reps in (1, 2, 7):
+            cfg = EstimatorConfig(replications=reps, seed=19)
+            sums = np.zeros(g.n + 1, dtype=np.float64)
+            for i in range(reps):
+                sigma = replication_permutation(cfg.seed, i, g.n)
+                sums += np.array(component_count_trace(g, sigma), dtype=np.float64)
+            scan = blind_value_scan(g, cfg)
+            assert scan.dtype == np.float64, (name, reps)
+            assert scan.tobytes() == (sums / reps).tobytes(), (name, reps)
 
 
 def test_thread_count_does_not_change_estimates():

@@ -9,7 +9,7 @@ import pytest
 
 from stopcc import exact, graphs, strategies
 from stopcc.activation import ActivationState
-from stopcc.errors import ParameterError, UsageError, ValidationError
+from stopcc.errors import ParameterError, ResourceLimitError, UsageError, ValidationError
 from stopcc.graphs import Graph
 from stopcc.strategies import (
     BlindView,
@@ -182,6 +182,20 @@ def test_blind_optimal_threshold_ktree_small_and_prescan():
         blind_optimal_threshold("mystery", 9)
     with pytest.raises(ParameterError):
         blind_optimal_threshold("tree", 0)
+
+
+def test_blind_optimal_threshold_refuses_a_curve_above_its_caps(monkeypatch):
+    def no_curve(*args):
+        raise AssertionError("the curve was built above its caps")
+
+    monkeypatch.setattr(exact, "blind_curve_ktree", no_curve)
+    for args, message in ((("tree", 10**6 + 1), "n=1000000"),
+                          (("ktree", 10**6 + 1, 2), "n=1000000"),
+                          (("ktree", 10**6, 2000), "k=2000, n=1000000")):
+        with pytest.raises(ResourceLimitError, match=message):
+            blind_optimal_threshold(*args)
+    with pytest.raises(ParameterError, match="k=1"):
+        blind_optimal_threshold("tree", 5, k=1)
 
 
 def test_parse_strategy_roundtrip():
