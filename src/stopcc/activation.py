@@ -7,15 +7,19 @@ stays exact in amortized O(log n) set operations per vertex.  The root whose
 set survives a merge roots the merged component; path halving bounds finds.
 
 component_count_trace is the arrival-time kernel: the component count after
-every arrival of an order at once, with none of the other state.
-component_count reads the same kernel for one prefix only.  The kernel counts
-merges in the first of three ways that applies: one per vertex, when the
-vertex ids are an elimination order (every vertex's lower-id neighbours form
-a clique, as in a path, a star or a k-tree numbered in construction order),
-from the witness identity CC(S) = #{v in S: no lower-id neighbour of v in S};
-one per edge on a forest; and otherwise from a minimum spanning forest of the
-edge times.  Only that last branch uses scipy, and imports it on first use, so
-a process whose graphs never reach it never imports scipy.
+every arrival of an order at once, with none of the other state.  The kernel
+counts merges in the first of three ways that applies: one per vertex, when
+the vertex ids are an elimination order (every vertex's lower-id neighbours
+form a clique, as in a path, a star or a k-tree numbered in construction
+order), from the witness identity CC(S) = #{v in S: no lower-id neighbour of
+v in S}; one per edge on a forest; and otherwise from a minimum spanning
+forest of the edge times.  component_count, the count of one prefix, reads
+the same kernel, except on a forest whose ids do not eliminate: there it
+counts the prefix's vertices whose parent in Graph.forest_parent is outside
+the prefix, in O(len(prefix)).  Only these last two uses need scipy (a forest
+whose ids do not eliminate has imported it to tell that it is a forest), and
+scipy is imported on first use, so a process whose graphs never reach them
+never imports it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UsageError, ValidationError
+from .graphs import lexicographic_csr
 
 # beyond this size we stop maintaining the active-set bitmask (only the
 # subset DP consumes it, and it is capped far below)
@@ -277,12 +282,8 @@ def _merge_times(graph, sigma):
     times = arrival[eu]
     np.maximum(times, arrival[ev], out=times)
     if not graph.is_forest():
-        from scipy.sparse import csr_matrix
-
         present = times <= t
-        weights = csr_matrix(
-            (times[present], (eu[present], ev[present])), shape=(graph.n, graph.n)
-        )
+        weights = lexicographic_csr(graph.n, eu[present], ev[present], times[present])
         times = minimum_spanning_tree(weights).data.astype(np.int32)
     return times
 
@@ -314,8 +315,19 @@ def component_count_trace(graph, sigma):
 
 def component_count(graph, prefix):
     """Component count of the vertices of prefix: the last entry of
-    component_count_trace(graph, prefix), without the rest of the trace."""
+    component_count_trace(graph, prefix), without the rest of the trace.
+
+    When the ids eliminate, or the graph is no forest, the kernel gives it.
+    On any other forest each edge inside the prefix joins a vertex to its
+    parent, so the count is t minus the prefix vertices whose parent is in
+    the prefix: O(len(prefix)) gathers into a zeroed membership array, after
+    the one orientation per graph."""
     t = len(prefix)
+    if not graph.ids_eliminate and graph.is_forest():
+        prefix = np.asarray(prefix, dtype=np.intp)
+        inside = np.zeros(graph.n + 1, dtype=bool)  # slot n: the roots' parent
+        inside[prefix] = True
+        return t - int(np.count_nonzero(inside[graph.forest_parent[prefix]]))
     return t - int(np.count_nonzero(_merge_times(graph, prefix) <= t))
 
 

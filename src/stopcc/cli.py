@@ -228,14 +228,15 @@ def cmd_blind_scan(args):
 
 def cmd_run(args):
     started = time.time()
-    # validated in every mode, so a bad value never reaches the report
+    # validated in every mode, so a bad value never reaches the report; the
+    # rules too are checked before the instance is built
     cfg = _estimator_config(args)
-    g, seq, descriptor = _build_instance(args)
     specs = [strategies.parse_strategy(text) for text in args.strategy]
     if args.mode == "dp":
         others = [text for text, spec in zip(args.strategy, specs) if spec.kind != "dp_optimal"]
         if others:
             raise UsageError(f"--mode dp solves only the dp rule, not {', '.join(others)}")
+    g, seq, descriptor = _build_instance(args)
     if args.mode == "exact" and g.n > exact.PERM_CAP:
         raise ResourceLimitError(
             f"exact mode enumerates n! permutations and is capped at "

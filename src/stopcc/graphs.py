@@ -22,7 +22,7 @@ from .errors import ParameterError, ValidationError
 
 # vertex ids are stored as int32 in the edge arrays and every kernel
 ID_LIMIT = np.iinfo(np.int32).max
-# pairs that _are_edges looks up before the rest
+# edges whose pairs ids_eliminate looks up before the rest
 _PROBE = 64
 
 
@@ -121,40 +121,51 @@ class Graph:
         return v in self.adj[u]
 
     @cached_property
-    def _component_count(self):
+    def _component_labels(self):
         # scipy's start-up is most of a short process's, so only graphs that
-        # need this count import it
-        from scipy.sparse import csr_matrix
+        # need the components import it
         from scipy.sparse.csgraph import connected_components
 
         eu, ev = self.edge_arrays
-        ones = np.ones(len(eu))
-        c, _ = connected_components(
-            csr_matrix((ones, (eu, ev)), shape=(self.n, self.n)), directed=False
-        )
-        return c
+        return connected_components(
+            lexicographic_csr(self.n, eu, ev, np.ones(len(eu), dtype=np.int8)), directed=False
+        )[1]
+
+    @cached_property
+    def _component_count(self):
+        return int(self._component_labels.max()) + 1 if self.n else 0
 
     @cached_property
     def ids_eliminate(self):
         """True iff the vertex ids are an elimination order: every vertex's
         lower-id neighbours form a clique.  That holds iff each of them is
         p(v), the highest one, or adjacent to p(v).  Computed once, on first
-        use, from the edge arrays alone: no sort, and no ``adj``."""
+        use, from the edge arrays alone: no sort, and no ``adj``.
+
+        For an edge (u, v) with u != p(v), u < p(v) < v, so the pair
+        (u, p(v)) sorts before the edge: the pairs of the first _PROBE edges
+        lie among those edges, and a graph that fails there, as a grid does,
+        skips the O(m) lookup."""
         eu, ev = self.edge_arrays
         p = np.full(self.n, -1, dtype=np.int32)
         np.maximum.at(p, ev, eu)
-        p = p[ev]
-        other = eu != p
-        return _are_edges(self.n, eu, ev, eu[other], p[other])
+        for part in (slice(_PROBE), slice(None)):
+            u, v = eu[part], ev[part]
+            q = p[v]
+            other = u != q
+            if not _are_edges(self.n, u, v, u[other], q[other]):
+                return False
+        return True
 
     @cached_property
     def elimination_arcs(self):
         """(later, earlier, depth) of a chordal graph; None if the graph is
         not chordal.  Built once per graph, on first use.
 
-        Vertices are ranked by id when ``ids_eliminate`` holds, and otherwise
-        by maximum cardinality search (Tarjan & Yannakakis, SIAM J. Comput.
-        13 (1984) 566).  Arc i runs from later[i] to earlier[i], its endpoint
+        Vertices are ranked by id when ``ids_eliminate`` holds, on any other
+        forest by ``forest_parent`` (a parent ranks before its children), and
+        otherwise by maximum cardinality search (Tarjan & Yannakakis, SIAM J.
+        Comput. 13 (1984) 566).  Arc i runs from later[i] to earlier[i], its endpoint
         of lower rank; the int32 arrays are sorted by later vertex, and
         depth[v] counts v's earlier neighbours K_v.  The graph is chordal iff
         every K_v is a clique, which holds iff each member of K_v is adjacent
@@ -166,6 +177,11 @@ class Graph:
             # the check is done: sort the arcs by later vertex, then by id
             arcs = np.argsort(ev, kind="stable")
             later, earlier = ev[arcs], eu[arcs]
+        elif self.is_forest():
+            # K_v is v's parent, if v has one
+            parent = self.forest_parent
+            later = np.flatnonzero(parent < n).astype(np.int32)
+            earlier = parent[later]
         else:
             rank = np.empty(n, dtype=np.int32)
             rank[_mcs_order(self.adj)] = np.arange(n, dtype=np.int32)
@@ -183,6 +199,30 @@ class Graph:
         for x in (later, earlier, depth):
             x.flags.writeable = False  # shared by every caller
         return later, earlier, depth
+
+    @cached_property
+    def forest_parent(self):
+        """Each tree of a forest rooted at its lowest vertex: a read-only
+        int32 array whose entry v is v's neighbour towards its root, or n at
+        a root.  None if the graph is not a forest.  Built once per graph, on
+        first use, by one breadth-first search from a virtual vertex n
+        joined to every root."""
+        if not self.is_forest():
+            return None
+        from scipy.sparse.csgraph import breadth_first_order
+
+        n = self.n
+        eu, ev = self.edge_arrays
+        roots = np.full(self._component_count, n, dtype=np.int32)
+        np.minimum.at(roots, self._component_labels, np.arange(n, dtype=np.int32))
+        # row n comes last and its roots ascend, so the pairs stay lexicographic
+        rows = np.concatenate((eu, np.full(len(roots), n, dtype=np.int32)))
+        cols = np.concatenate((ev, roots))
+        tree = lexicographic_csr(n + 1, rows, cols, np.ones(len(rows), dtype=np.int8))
+        _, before = breadth_first_order(tree, n, directed=False, return_predecessors=True)
+        parent = before[:n].astype(np.int32)
+        parent.flags.writeable = False  # shared by every caller
+        return parent
 
     def is_forest(self):
         """True iff the graph is acyclic.  Computed once per graph."""
@@ -351,19 +391,24 @@ def _edge_arrays(n, keys):
     return eu, ev
 
 
+def lexicographic_csr(n, rows, cols, data):
+    """The n x n scipy CSR matrix with data[i] at (rows[i], cols[i]), for
+    distinct int32 pairs in lexicographic order: the pairs are already CSR's
+    order, so the row pointers are a cumulative count and nothing is sorted."""
+    from scipy.sparse import csr_matrix
+
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return csr_matrix((data, cols, indptr), shape=(n, n))
+
+
 def _are_edges(n, eu, ev, a, b):
     """True iff every pair (a[i], b[i]) is an edge of the graph with the
-    lexicographic edge arrays (eu, ev): a lookup in the sorted edge keys.
-    The first _PROBE pairs are looked up first, so a graph that fails there,
-    as a grid does at its first pair, skips the full lookup."""
+    lexicographic edge arrays (eu, ev): a lookup in the sorted edge keys."""
     keys = eu.astype(np.int64) * n + ev
-    for part in (slice(None, _PROBE), slice(_PROBE, None)):
-        x, y = a[part], b[part]
-        wanted = np.minimum(x, y).astype(np.int64) * n + np.maximum(x, y)
-        at = np.searchsorted(keys, wanted)
-        if not np.array_equal(keys[np.minimum(at, len(keys) - 1)], wanted):
-            return False
-    return True
+    wanted = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+    at = np.searchsorted(keys, wanted)
+    return np.array_equal(keys[np.minimum(at, len(keys) - 1)], wanted)
 
 
 def _sorted_arcs(n, u, v):

@@ -256,12 +256,17 @@ def _scipy_recount(g, vertices):
 
 
 @st.composite
-def ktrees_with_orders(draw):
+def forests_and_ktrees_with_orders(draw):
     """(graph, relabelled, order, prefix length): a random k-tree, k = 1..3,
+    or for k = 0 a random forest with several trees and isolated vertices,
     with its construction-order ids or with random ones."""
-    k = draw(st.integers(1, 3))
-    n = draw(st.integers(k, 14))
-    g = graphs.graph_from_construction(graphs.gen_random_ktree(k, n, draw(st.integers(0, 999))))
+    k = draw(st.integers(0, 3))
+    n = draw(st.integers(max(k, 1), 14))
+    if k:
+        g = graphs.graph_from_construction(graphs.gen_random_ktree(k, n, draw(st.integers(0, 999))))
+    else:  # each vertex hangs from an earlier one or, one time in three, starts a tree
+        g = Graph.from_edges(n, [(draw(st.integers(0, v - 1)), v)
+                                 for v in range(1, n) if draw(st.integers(0, 2))])
     relabelled = draw(st.booleans())
     if relabelled:
         label = draw(st.permutations(range(n)))
@@ -269,8 +274,8 @@ def ktrees_with_orders(draw):
     return g, relabelled, draw(st.permutations(range(n))), draw(st.integers(0, n))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(ktrees_with_orders())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(forests_and_ktrees_with_orders())
 def test_kernel_matches_a_scipy_recount_on_both_labellings(case):
     g, relabelled, sigma, l = case
     # construction-order ids are an elimination order; random ones seldom are
@@ -287,6 +292,8 @@ def test_kernel_matches_a_scipy_recount_on_both_labellings(case):
     # the witness branch serves every graph with eliminating ids, so the
     # spanning forest serves exactly the non-forests whose ids do not eliminate
     assert mst.called == (not g.is_forest() and not g.ids_eliminate)
+    # and only the other forests' prefix counts read an orientation
+    assert ("forest_parent" in vars(g)) == (g.is_forest() and not g.ids_eliminate)
 
 
 def test_eliminating_ids_never_ask_for_the_component_count():

@@ -590,6 +590,20 @@ def test_bad_strategy_text_exits_usage(capsys):
         assert err.startswith("stopcc:") and message in err
 
 
+def test_rules_are_checked_before_the_instance_is_built(capsys, tmp_path):
+    grid = ["--family", "grid", "--d", "2", "--side", "1000"]
+    for rule, mode, message in (("mystery", "mc", "unknown strategy"),
+                                ("greedy", "dp", "--mode dp solves only the dp rule")):
+        with mock.patch.object(graphs, "gen_named_family") as build:
+            code, out, err = _run(capsys, "run", *grid, "--strategy", rule, "--mode", mode)
+        assert code == cli.EXIT_USAGE and out == "" and message in err
+        assert not build.called
+    # a bad rule wins over an unreadable instance file
+    code, out, err = _run(capsys, "run", "--seq-file", str(tmp_path / "missing.txt"),
+                          "--strategy", "mystery", "--mode", "mc")
+    assert code == cli.EXIT_USAGE and "unknown strategy" in err
+
+
 def test_thread_default_honors_environment(monkeypatch):
     argv = ["run", "--family", "path", "--n", "3", "--strategy", "greedy",
             "--mode", "mc"]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stopcc import graphs
+from stopcc import activation, graphs
 from stopcc.errors import ParameterError, ValidationError
 from stopcc.graphs import ConstructionSequence, Graph
 
@@ -651,8 +651,8 @@ def test_edge_lookup_stops_at_a_failing_probe_and_checks_the_rest():
     grid, _ = graphs.gen_named_family("grid", {"d": 2, "side": 30})
     with mock.patch.object(graphs.np, "searchsorted", wraps=np.searchsorted) as search:
         assert not grid.ids_eliminate
-    (_, wanted), = [c.args for c in search.call_args_list]
-    assert len(wanted) == graphs._PROBE
+    (keys, wanted), = [c.args for c in search.call_args_list]
+    assert len(keys) == graphs._PROBE and 0 < len(wanted) <= graphs._PROBE
 
 
 def test_elimination_arcs_skip_the_search_when_the_ids_eliminate():
@@ -666,3 +666,40 @@ def test_elimination_arcs_skip_the_search_when_the_ids_eliminate():
         assert mcs.call_count == 1
     for x in (g, relabelled):
         _check_elimination_arcs(x)
+
+
+def test_forests_whose_ids_do_not_eliminate_read_one_orientation():
+    # a forest with several trees and isolated vertices, in id order and shuffled
+    rng = random.Random(21)
+    n = 300
+    forest = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9]
+    in_order = Graph.from_edges(n, forest)
+    shuffled = _relabel(in_order, rng)
+    sigma = np.random.default_rng(21).permutation(n)
+    from scipy.sparse import csgraph
+
+    bfs = mock.patch.object(csgraph, "breadth_first_order", wraps=csgraph.breadth_first_order)
+    mcs = mock.patch.object(graphs, "_mcs_order", wraps=graphs._mcs_order)
+    kernel = mock.patch.object(activation, "_merge_times", wraps=activation._merge_times)
+    with bfs as search, mcs as mcs_order, kernel as merge_times:
+        assert not shuffled.ids_eliminate
+        counts = [activation.component_count(shuffled, sigma[:t]) for t in range(n + 1)]
+        assert shuffled.elimination_arcs is not None
+        assert not merge_times.called and not mcs_order.called and search.call_count == 1
+        parent = shuffled.forest_parent
+        # one orientation: each tree hangs from its lowest vertex
+        roots = np.flatnonzero(parent == n)
+        assert len(roots) == shuffled._component_count
+        assert roots.tolist() == sorted(min(np.flatnonzero(shuffled._component_labels == c))
+                                        for c in range(len(roots)))
+        assert counts == activation.component_count_trace(shuffled, sigma)
+        assert in_order.ids_eliminate
+        assert [activation.component_count(in_order, sigma[:t]) for t in range(n + 1)] \
+            == activation.component_count_trace(in_order, sigma)
+        assert in_order.elimination_arcs is not None
+        assert search.call_count == 1 and not mcs_order.called
+    assert not parent.flags.writeable
+    for name in ("_component_count", "_component_labels", "forest_parent"):
+        assert name not in vars(in_order)  # the witness kernel needs none of them
+    for g in (in_order, shuffled):
+        _check_elimination_arcs(g)
