@@ -2,11 +2,22 @@
 backward-induction optimal value for the full-information game.
 
 Everything that can be exact is exact (integer/Fraction arithmetic).  The
-subset DP is one layer sweep with two tiers: the exact tier (n <= 12) keeps
-the integers W(S) = V(S)*(n-|S|)! and returns V as Fractions; the float tier
-(n <= 24) keeps V in double precision, with the exact tier as its cross-check.
-The sweep reads a table of the component count of every subset, built in
-NumPy over all masks at once; the flood fill cc_of_mask is its oracle.
+subset DP has two tiers: the exact tier (n <= 12) keeps the integers
+W(S) = V(S)*(n-|S|)! and returns V as Fractions; the float tier (n <= 24)
+keeps V in double precision, with the exact tier as its cross-check.  It
+reads a table of the component count of every subset, built in NumPy over
+all masks at once; the flood fill cc_of_mask is its oracle.
+
+The DP sweeps the masks block by block, a block being the masks that share
+their top n - _DP_BLOCK_BITS bits P, so that the block's values stay in cache.
+Blocks are solved by descending P: block P reads only blocks P + (a bit not
+in P), which are larger and so already solved.  Inside a block the layers of
+the low bits are swept from full to empty, in one low-bit layer order that
+every block shares.  Each state adds V(S + v) over v not in S by ascending
+bit, the low bits from its own block and then the high bits from the solved
+blocks, which is the order of a single sweep over all 2^n masks, so every
+value and stop flag is bit-identical to it; for n <= _DP_BLOCK_BITS there is
+one block, and that sweep is what runs.
 """
 
 from __future__ import annotations
@@ -35,6 +46,9 @@ BLIND_CURVE_BUDGET = 10**9  # bytes
 
 # accumulated float error in the DP is below n * 2**-50; this dominates it
 DP_TIE_TOL = 1e-9
+# the subset DP solves 2**_DP_BLOCK_BITS masks at a time: 1 MB of float64,
+# which stays in a core's L2 cache while the block's layers are swept
+_DP_BLOCK_BITS = 17
 
 
 def blind_expectation_tree(n, l):
@@ -239,7 +253,12 @@ def _component_counts(graph):
 
 def solve_dp(graph, exact=False):
     """Solve the full-information game exactly by backward induction over
-    active subsets.  Float tier up to n=24; exact-rational tier up to n=12."""
+    active subsets.  Float tier up to n=24; exact-rational tier up to n=12.
+
+    The sweep runs over blocks of 2^_DP_BLOCK_BITS masks (see the module
+    docstring).  Besides the int64 component-count table it allocates only
+    the value and stop tables, 8 + 1 bytes per mask, and working arrays of
+    O(2^_DP_BLOCK_BITS) entries."""
     n = graph.n
     if n > DP_CAP:
         raise ResourceLimitError(f"subset DP capped at n={DP_CAP}, got n={n}")
@@ -252,34 +271,47 @@ def solve_dp(graph, exact=False):
 
 def _solve_dp(graph, exact_tier):
     n = graph.n
-    size = 1 << n
     cc = _component_counts(graph)
-    pc = _popcounts(size)
-    # uint8 keys take NumPy's stable radix sort
+    width = min(n, _DP_BLOCK_BITS)
+    # row p of these views is block p: the masks whose top n - width bits are p
+    cc_rows = cc.reshape(-1, 1 << width)
+    pc = _popcounts(1 << width)
+    # the local layer order, shared by every block; uint8 keys take NumPy's
+    # stable radix sort
     order = np.argsort(pc, kind="stable").astype(np.uint32)
-    offsets = np.searchsorted(pc[order], np.arange(n + 2))
-    del pc
+    offsets = np.searchsorted(pc[order], np.arange(width + 2))
     # exact tier: W(S) <= n*(n-|S|)! <= n*n! < 2**63 for n <= 19, so int64
     # is exact under DP_EXACT_CAP
-    values = np.zeros(size, dtype=np.int64 if exact_tier else np.float64)
-    stop = np.zeros(size, dtype=bool)
-    full = size - 1
-    values[full] = cc[full]
-    stop[full] = True
+    values = np.zeros(1 << n, dtype=np.int64 if exact_tier else np.float64)
+    stop = np.zeros(1 << n, dtype=bool)
+    values[-1] = cc[-1]
+    stop[-1] = True
+    value_rows, stop_rows = values.reshape(cc_rows.shape), stop.reshape(cc_rows.shape)
     tol = 0 if exact_tier else DP_TIE_TOL
-    for t in range(n - 1, -1, -1):
-        layer = order[offsets[t]: offsets[t + 1]]
-        # a bit already in S reads S's own value, still 0 in this layer,
-        # so adding it leaves acc bit-identical
-        acc = np.zeros(len(layer), dtype=values.dtype)
-        for b in range(n):
-            acc += values[layer | np.uint32(1 << b)]
-        if exact_tier:
-            here, cont = cc[layer] * math.factorial(n - t), acc
-        else:
-            here, cont = cc[layer], acc / (n - t)
-        values[layer] = np.maximum(here, cont)
-        stop[layer] = here >= cont - tol
+    full_block = len(value_rows) - 1
+    for p in range(full_block, -1, -1):
+        block, block_cc, block_stop = value_rows[p], cc_rows[p], stop_rows[p]
+        # the solved blocks that S + (a high bit not in S) falls in, by
+        # ascending bit; a high bit already in S would add S's own 0
+        above = [value_rows[p | 1 << j] for j in range(n - width) if not p >> j & 1]
+        # the full block's top layer is the full mask, set above
+        top = width - 1 if p == full_block else width
+        for tau in range(top, -1, -1):
+            layer = order[offsets[tau]: offsets[tau + 1]]
+            # a low bit already in S reads S's own value, still 0 in this
+            # layer, so adding it leaves acc bit-identical
+            acc = np.zeros(len(layer), dtype=values.dtype)
+            for b in range(width):
+                acc += block.take(layer | np.uint32(1 << b))
+            for row in above:
+                acc += row.take(layer)
+            remaining = n - p.bit_count() - tau
+            if exact_tier:
+                here, cont = block_cc.take(layer) * math.factorial(remaining), acc
+            else:
+                here, cont = block_cc.take(layer), acc / remaining
+            block[layer] = np.maximum(here, cont)
+            block_stop[layer] = here >= cont - tol
     return ValueTable(n, values, stop, exact=exact_tier)
 
 

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -207,7 +208,7 @@ def _reference_dp(g):
             [w[m] for m in masks], [w_stop[m] for m in masks])
 
 
-def test_solve_dp_matches_per_mask_reference_bit_for_bit():
+def test_solve_dp_matches_per_mask_reference_bit_for_bit(monkeypatch):
     rng = random.Random(23)
     cases = [Graph.from_edges(0, []), _path(9),
              graphs.graph_from_construction(graphs.gen_random_ktree(2, 9, 4))]
@@ -216,14 +217,48 @@ def test_solve_dp_matches_per_mask_reference_bit_for_bit():
         cases.append(Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                           if rng.random() < 0.4]))
         cases.append(graphs.gen_named_family("random_tree", {"n": n, "seed": rng.random()})[0])
-    for g in cases:
-        v, v_stop, w, w_stop = _reference_dp(g)
-        ft = exact.solve_dp(g, exact=False)
-        assert ft.values.tobytes() == np.array(v, dtype=np.float64).tobytes()
-        assert ft.stop.tolist() == v_stop
-        et = exact.solve_dp(g, exact=True)
-        assert et.values.tolist() == w
-        assert et.stop.tolist() == w_stop
+    references = [(g, _reference_dp(g)) for g in cases]
+    # the default width solves these in one block; widths of 0, 1 and 3 bits
+    # split them into up to 2^9 blocks that read each other's values
+    for width in (exact._DP_BLOCK_BITS, 0, 1, 3):
+        monkeypatch.setattr(exact, "_DP_BLOCK_BITS", width)
+        for g, (v, v_stop, w, w_stop) in references:
+            ft = exact.solve_dp(g, exact=False)
+            assert ft.values.tobytes() == np.array(v, dtype=np.float64).tobytes()
+            assert ft.stop.tolist() == v_stop
+            et = exact.solve_dp(g, exact=True)
+            assert et.values.tolist() == w
+            assert et.stop.tolist() == w_stop
+
+
+def test_solve_dp_blocks_match_one_block_bit_for_bit(monkeypatch):
+    # above the block width the float tier is split into blocks; its bytes
+    # must equal those of one sweep over all 2^n masks
+    rng = random.Random(19)
+    gnp = Graph.from_edges(19, [(u, v) for u in range(19) for v in range(u + 1, 19)
+                                if rng.random() < 0.2])
+    assert not gnp.is_forest()
+    for g in (_path(20), gnp):
+        assert g.n > exact._DP_BLOCK_BITS
+        blocked = exact.solve_dp(g)
+        with monkeypatch.context() as m:
+            m.setattr(exact, "_DP_BLOCK_BITS", g.n)
+            single = exact.solve_dp(g)
+        assert blocked.values.tobytes() == single.values.tobytes()
+        assert blocked.stop.tobytes() == single.stop.tobytes()
+
+
+def test_solve_dp_peak_memory_is_the_tables_plus_slack():
+    # the CC, value and stop tables take 8 + 8 + 1 bytes per mask; a 2^n
+    # layer order, 4 bytes per mask, would break the bound
+    g = _path(20)
+    tracemalloc.start()
+    try:
+        exact.solve_dp(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 << g.n, f"peak {peak / (1 << g.n):.1f} bytes per mask"
 
 
 def test_solve_dp_caps():
