@@ -13,13 +13,11 @@ the vertex ids are an elimination order (every vertex's lower-id neighbours
 form a clique, as in a path, a star or a k-tree numbered in construction
 order), from the witness identity CC(S) = #{v in S: no lower-id neighbour of
 v in S}; one per edge on a forest; and otherwise from a minimum spanning
-forest of the edge times.  component_count, the count of one prefix, reads
-the same kernel, except on a forest whose ids do not eliminate: there it
-counts the prefix's vertices whose parent in Graph.forest_parent is outside
-the prefix, in O(len(prefix)).  Only these last two uses need scipy (a forest
-whose ids do not eliminate has imported it to tell that it is a forest), and
-scipy is imported on first use, so a process whose graphs never reach them
-never imports it.
+forest of the edge times (graphs.spanning_forest, Borůvka's rounds in
+NumPy).  component_count, the count of one prefix, reads the same kernel,
+except on a forest whose ids do not eliminate: there it counts the prefix's
+vertices whose parent in Graph.forest_parent is outside the prefix, in
+O(len(prefix)).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .graphs import lexicographic_csr
+from .graphs import spanning_forest
 
 # beyond this size we stop maintaining the active-set bitmask (only the
 # subset DP consumes it, and it is capped far below)
@@ -240,14 +238,6 @@ def run_permutation(graph, seq, sigma):
     return trace
 
 
-def minimum_spanning_tree(weights):
-    """scipy.sparse.csgraph.minimum_spanning_tree, imported on first call;
-    it may overwrite weights."""
-    from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
-
-    return scipy_mst(weights, overwrite=True)
-
-
 def _merge_times(graph, sigma):
     """Merge times of the arrivals of sigma, a permutation or a prefix of
     one: for every t <= len(sigma), #{merge times <= t} is the number of
@@ -283,8 +273,8 @@ def _merge_times(graph, sigma):
     np.maximum(times, arrival[ev], out=times)
     if not graph.is_forest():
         present = times <= t
-        weights = lexicographic_csr(graph.n, eu[present], ev[present], times[present])
-        times = minimum_spanning_tree(weights).data.astype(np.int32)
+        picked, _ = spanning_forest(graph.n, eu[present], ev[present], times[present])
+        times = picked.astype(np.int32)
     return times
 
 

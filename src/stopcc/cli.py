@@ -106,9 +106,10 @@ def _reject_unread(args, reader, keys):
         raise UsageError(f"{reader} does not read {', '.join(unread)}")
 
 
-def _build_instance(args):
+def _build_instance(args, sequence=True):
     """Resolve the instance flags into (graph, seq, descriptor), after
-    checking that one source is given and no flag it ignores."""
+    checking that one source is given and no flag it ignores.  With sequence
+    false a named tree family's sequence is not built and seq is None."""
     given = {"--family": args.family, "--ktree": args.ktree, "--seq-file": args.seq_file}
     sources = [flag for flag, value in given.items() if value is not None]
     if len(sources) > 1:
@@ -136,7 +137,7 @@ def _build_instance(args):
             "seed": args.seed,
         }
     if args.family:
-        g, seq = graphs.gen_named_family(args.family, _family_params(args.family, args))
+        g, seq = graphs.gen_named_family(args.family, _family_params(args.family, args), sequence)
         desc = {"family": args.family, "n": g.n, "seed": args.seed}
         if args.k is not None:
             desc["k"] = args.k
@@ -193,7 +194,8 @@ def cmd_generate(args):
     # named family
     if args.name is None:
         raise UsageError("generate family needs --name")
-    g, seq = graphs.gen_named_family(args.name, _family_params(args.name, args))
+    g, seq = graphs.gen_named_family(args.name, _family_params(args.name, args),
+                                     sequence=bool(args.seq_out))
     if args.seq_out and seq is None:
         raise UsageError(f"family {args.name} has no construction sequence")
     with _output(args.out) as fh:
@@ -301,7 +303,7 @@ def cmd_concentration(args):
         raise ParameterError(
             f"--epsilon {args.epsilon} is too large: eps^3/2000 must fit a float"
         ) from None
-    g, _, descriptor = _build_instance(args)
+    g, _, descriptor = _build_instance(args, sequence=False)
     if g.n == 0:
         raise ParameterError("concentration needs an instance with at least one vertex")
     beta = g.edge_count / g.n

@@ -216,14 +216,18 @@ def _component_counts(graph):
     n = graph.n
     size = 1 << n
     adj_masks = _adjacency_masks(graph)
-    masks = np.arange(size, dtype=np.uint32)
     if graph.is_forest():
+        # no 2^n mask array: each doubling ANDs a fresh arange of its half
         cc = np.zeros(size, dtype=np.int64)
         for v in range(n):
             half = 1 << v
-            lower = masks[:half] & np.uint32(adj_masks[v])
-            cc[half: 2 * half] = cc[:half] + 1 - _bit_counts(lower)
+            upper = cc[half: 2 * half]
+            np.add(cc[:half], 1, out=upper)
+            lower = np.arange(half, dtype=np.uint32)
+            lower &= np.uint32(adj_masks[v])
+            np.subtract(upper, _bit_counts(lower), out=upper)
         return cc
+    masks = np.arange(size, dtype=np.uint32)
     # nbr[S] = OR of the neighbourhoods of the vertices of S, by doubling
     nbr = np.zeros(size, dtype=np.uint32)
     for v in range(n):

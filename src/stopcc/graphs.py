@@ -18,7 +18,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ResourceLimitError, ValidationError
 
 # vertex ids are stored as int32 in the edge arrays and every kernel
 ID_LIMIT = np.iinfo(np.int32).max
@@ -122,14 +122,15 @@ class Graph:
 
     @cached_property
     def _component_labels(self):
-        # scipy's start-up is most of a short process's, so only graphs that
-        # need the components import it
-        from scipy.sparse.csgraph import connected_components
-
+        # the components numbered in the order of their lowest vertices
+        n = self.n
         eu, ev = self.edge_arrays
-        return connected_components(
-            lexicographic_csr(self.n, eu, ev, np.ones(len(eu), dtype=np.int8)), directed=False
-        )[1]
+        _, merged_into = spanning_forest(n, eu, ev, np.zeros(len(eu), dtype=np.int64))
+        root = _roots(merged_into)
+        lowest = np.full(n, n)
+        np.minimum.at(lowest, root, np.arange(n))
+        lowest = lowest[root]
+        return (np.cumsum(lowest == np.arange(n)) - 1)[lowest]
 
     @cached_property
     def _component_count(self):
@@ -205,22 +206,13 @@ class Graph:
         """Each tree of a forest rooted at its lowest vertex: a read-only
         int32 array whose entry v is v's neighbour towards its root, or n at
         a root.  None if the graph is not a forest.  Built once per graph, on
-        first use, by one breadth-first search from a virtual vertex n
-        joined to every root."""
+        first use, from one Euler tour of the forest (_root_trees)."""
         if not self.is_forest():
             return None
-        from scipy.sparse.csgraph import breadth_first_order
-
         n = self.n
-        eu, ev = self.edge_arrays
-        roots = np.full(self._component_count, n, dtype=np.int32)
-        np.minimum.at(roots, self._component_labels, np.arange(n, dtype=np.int32))
-        # row n comes last and its roots ascend, so the pairs stay lexicographic
-        rows = np.concatenate((eu, np.full(len(roots), n, dtype=np.int32)))
-        cols = np.concatenate((ev, roots))
-        tree = lexicographic_csr(n + 1, rows, cols, np.ones(len(rows), dtype=np.int8))
-        _, before = breadth_first_order(tree, n, directed=False, return_predecessors=True)
-        parent = before[:n].astype(np.int32)
+        roots = np.full(self._component_count, n)
+        np.minimum.at(roots, self._component_labels, np.arange(n))
+        parent = _root_trees(n, *self.edge_arrays, roots)
         parent.flags.writeable = False  # shared by every caller
         return parent
 
@@ -391,15 +383,112 @@ def _edge_arrays(n, keys):
     return eu, ev
 
 
-def lexicographic_csr(n, rows, cols, data):
-    """The n x n scipy CSR matrix with data[i] at (rows[i], cols[i]), for
-    distinct int32 pairs in lexicographic order: the pairs are already CSR's
-    order, so the row pointers are a cumulative count and nothing is sorted."""
-    from scipy.sparse import csr_matrix
+def spanning_forest(n, u, v, weights):
+    """A minimum spanning forest of the graph on vertices 0..n-1 with the
+    edges (u[i], v[i]) of nonnegative integer weights[i], by Borůvka's
+    rounds: (picked, merged_into).
 
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return csr_matrix((data, cols, indptr), shape=(n, n))
+    picked holds the int64 weights of the forest's edges, in no set order;
+    every minimum spanning forest has these weights.  merged_into points
+    each vertex at the one it was merged into, at most one pointer per
+    round deep; _roots(merged_into) gives one root vertex per component.
+
+    Edges are compared by the keys weight*m + edge index, which are
+    distinct; each round numbers its m edges in input order, so the order
+    never changes.  Every component's lightest edge then joins the forest,
+    and a round at least halves the components that still have an edge.
+    Each round works on compact ids of those components and on the edges
+    between them alone.
+    """
+    m = len(u)
+    weights = np.asarray(weights, dtype=np.int64)
+    if m and (int(weights.max()) + 1) * m > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"spanning forest keys of {m} edges overflow int64")
+    merged_into = np.arange(n)
+    picked = []
+    a, b = u, v
+    vertex = np.arange(n)  # compact id -> its representative vertex
+    while len(a):
+        # compact the endpoints to 0..c-1, in the order of their ids
+        touched = np.zeros(len(vertex), dtype=bool)
+        touched[a] = touched[b] = True
+        vertex = vertex[touched]
+        compact = np.cumsum(touched) - 1
+        a, b = compact[a], compact[b]
+        c, m = len(vertex), len(a)
+        keys = weights * m
+        keys += np.arange(m)
+        lightest = np.full(c, np.iinfo(np.int64).max)
+        np.minimum.at(lightest, a, keys)
+        np.minimum.at(lightest, b, keys)
+        edge = lightest % m
+        comp = np.arange(c)
+        # each component points at the other end of its lightest edge; two
+        # that share their lightest edge point at each other, and the lower
+        # of them becomes the root of their tree of pointers
+        ptr = a[edge] ^ b[edge] ^ comp
+        root = (lightest[ptr] == lightest) & (comp < ptr)
+        ptr[root] = comp[root]
+        picked.append(weights[edge[~root]])
+        ptr = _roots(ptr)
+        merged_into[vertex] = vertex[ptr]
+        a, b = ptr[a], ptr[b]
+        keep = a != b
+        a, b, weights = a[keep], b[keep], weights[keep]
+    return (np.concatenate(picked) if picked else weights), merged_into
+
+
+def _roots(ptr):
+    """The root of every entry of the pointer forest ptr (ptr[r] == r at a
+    root), by pointer jumping: O(log depth) gathers."""
+    while True:
+        jumped = ptr[ptr]
+        if np.array_equal(jumped, ptr):
+            return ptr
+        ptr = jumped
+
+
+def _root_trees(n, eu, ev, roots):
+    """The parent array of the forest with the edges (eu[i], ev[i]), each
+    tree rooted at its vertex in roots: int32, n at a root.
+
+    Euler tour technique (Tarjan & Vishkin, SIAM J. Comput. 14 (1985) 862):
+    arc j runs from tail[j], and arcs j and j + m are the two directions of
+    edge j.  One sort groups the arcs by tail; the tour goes from an arc
+    (x, y) to the arc after (y, x) in y's group, cyclically, and is cut just
+    before each root's first arc.  Pointer jumping then gives every arc its
+    distance to the end of its tour, and the arc of an edge that is farther
+    from the end runs from parent to child.
+    """
+    m = len(eu)
+    tail = np.concatenate((eu, ev))
+    order = np.argsort(tail)  # sorted position -> arc
+    at = np.empty(2 * m, dtype=np.intp)  # arc -> sorted position
+    at[order] = np.arange(2 * m)
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(tail, minlength=n), out=start[1:])
+    # the next position in the same group, cyclically
+    after = np.arange(1, 2 * m + 1)
+    busy = start[1:] > start[:-1]
+    after[start[1:][busy] - 1] = start[:-1][busy]
+    # by sorted position, as is every array below
+    twin = at[np.where(order < m, order + m, order - m)]
+    succ = after[twin]
+    roots = roots[busy[roots]]
+    # a root's tour starts at its group's first arc and ends at the arc back
+    # into it from its group's last neighbour
+    first, last = start[roots], twin[start[roots + 1] - 1]
+    succ[last] = last
+    dist = np.ones(2 * m, dtype=np.intp)
+    dist[last] = 0
+    # every pointer has reached its tour's end once each first arc's has
+    while not np.array_equal(succ[first], last):
+        dist += np.take(dist, succ)
+        succ = np.take(succ, succ)
+    down = dist[at[:m]] > dist[at[m:]]  # edge i runs from eu[i] to ev[i]
+    parent = np.full(n, n, dtype=np.int32)
+    parent[np.where(down, ev, eu)] = np.where(down, eu, ev)
+    return parent
 
 
 def _are_edges(n, eu, ev, a, b):
@@ -534,9 +623,13 @@ def _random_tree_edges(n, rng):
     return edges
 
 
-def _tree_family(n, edges, root=0):
-    """A tree on n vertices and its width-1 construction sequence: the BFS
-    order from root, neighbours in edge order."""
+def _tree_family(n, edges, sequence, root=0):
+    """A tree on n vertices and, if sequence is true, its width-1
+    construction sequence: the BFS order from root, neighbours in edge
+    order; None in its place otherwise."""
+    g = Graph.from_edges(n, edges)
+    if not sequence:
+        return g, None
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
@@ -550,7 +643,7 @@ def _tree_family(n, edges, root=0):
             if not seen[w]:
                 seen[w] = 1
                 order.append((w, frozenset([u])))
-    return Graph.from_edges(n, edges), ConstructionSequence(1, tuple(order))
+    return g, ConstructionSequence(1, tuple(order))
 
 
 FAMILIES = (
@@ -564,10 +657,12 @@ FAMILIES = (
 )
 
 
-def gen_named_family(family, params):
+def gen_named_family(family, params, sequence=True):
     """Build one of the named instance families.
 
-    Returns (Graph, ConstructionSequence or None).  Families:
+    Returns (Graph, ConstructionSequence or None).  With sequence false the
+    tree families (path, star, star_plus_path, random_tree) return None for
+    the sequence and skip building it.  Families:
       path(n)                  path on n vertices
       star(n)                  star with n leaves (n+1 vertices)
       k_star(k, n)             k-tree on n vertices, everything on the initial clique
@@ -583,11 +678,11 @@ def gen_named_family(family, params):
     if family == "path":
         n = _require_int(p, "n", 1)
         _reject_extras(family, p)
-        return _tree_family(n, [(i, i + 1) for i in range(n - 1)])
+        return _tree_family(n, [(i, i + 1) for i in range(n - 1)], sequence)
     if family == "star":
         leaves = _require_int(p, "n", 1)
         _reject_extras(family, p)
-        return _tree_family(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+        return _tree_family(leaves + 1, [(0, i) for i in range(1, leaves + 1)], sequence)
     if family == "k_star":
         k = _require_int(p, "k", 1)
         n = _require_int(p, "n", k)
@@ -604,7 +699,7 @@ def gen_named_family(family, params):
         edges = [(center, leaf) for leaf in range(n + 1)]
         path = [center, *range(n + 2, 2 * n + 1)]
         edges.extend(zip(path, path[1:]))
-        return _tree_family(2 * n + 1, edges, root=center)
+        return _tree_family(2 * n + 1, edges, sequence, root=center)
     if family == "two_star_plus_star":
         n = _require_int(p, "n", 5)
         ratio = p.pop("ratio", Fraction(999, 1000))
@@ -636,7 +731,7 @@ def gen_named_family(family, params):
         seed = p.pop("seed", 0)
         _reject_extras(family, p)
         rng = random.Random(("tree", n, seed).__repr__())
-        return _tree_family(n, _random_tree_edges(n, rng))
+        return _tree_family(n, _random_tree_edges(n, rng), sequence)
     if family == "grid":
         d = _require_int(p, "d", 1)
         side = _require_int(p, "side", 1)

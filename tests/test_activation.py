@@ -280,9 +280,8 @@ def test_kernel_matches_a_scipy_recount_on_both_labellings(case):
     g, relabelled, sigma, l = case
     # construction-order ids are an elimination order; random ones seldom are
     assert relabelled or g.ids_eliminate
-    spy = mock.patch.object(activation, "minimum_spanning_tree",
-                            wraps=activation.minimum_spanning_tree)
-    with spy as mst:
+    spy = mock.patch.object(activation, "spanning_forest", wraps=activation.spanning_forest)
+    with spy as forest:
         trace = component_count_trace(g, sigma)
         counts = [component_count(g, sigma[:t]) for t in range(g.n + 1)]
         prefix = component_count_trace(g, sigma[:l])
@@ -291,14 +290,14 @@ def test_kernel_matches_a_scipy_recount_on_both_labellings(case):
     assert prefix == expected[: l + 1]
     # the witness branch serves every graph with eliminating ids, so the
     # spanning forest serves exactly the non-forests whose ids do not eliminate
-    assert mst.called == (not g.is_forest() and not g.ids_eliminate)
+    assert forest.called == (not g.is_forest() and not g.ids_eliminate)
     # and only the other forests' prefix counts read an orientation
     assert ("forest_parent" in vars(g)) == (g.is_forest() and not g.ids_eliminate)
 
 
 def test_eliminating_ids_never_ask_for_the_component_count():
     # a path numbered along itself eliminates: the witness branch comes
-    # first, so the kernel never computes scipy's component count
+    # first, so the kernel never computes the component count
     n = 50
     g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
     sigma = np.random.default_rng(5).permutation(n)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, report shapes, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -490,6 +491,31 @@ def test_concentration_checks_alpha_before_building(monkeypatch, capsys):
         assert code == 0 and json.loads(out)["alpha"] == float(alpha), alpha
 
 
+def test_only_readers_of_a_sequence_build_one(tmp_path, capsys):
+    # concentration and generate without --seq-out never read a tree
+    # family's construction sequence, so none is built
+    spy = mock.patch.object(graphs, "ConstructionSequence", wraps=graphs.ConstructionSequence)
+    tree = ["--name", "random_tree", "--n", "40", "--seed", "2"]
+    with spy as built:
+        code, _, _ = _run(capsys, "concentration", "--family", *tree[1:], "--alpha", "1/2",
+                          "--epsilon", "0.1", "--reps", "5")
+        assert code == 0 and not built.called
+        code, _, _ = _run(capsys, "generate", "family", *tree, "-o", str(tmp_path / "g.txt"))
+        assert code == 0 and not built.called
+        code, _, _ = _run(capsys, "generate", "family", *tree, "-o", str(tmp_path / "g.txt"),
+                          "--seq-out", str(tmp_path / "s.txt"))
+        assert code == 0 and built.call_count == 1
+    g, seq = graphs.gen_named_family("random_tree", {"n": 40, "seed": 2})
+    assert (tmp_path / "s.txt").read_text() == _written(graphs.write_sequence, seq)
+    assert (tmp_path / "g.txt").read_text() == _written(graphs.write_graph, g)
+
+
+def _written(write, obj):
+    out = io.StringIO()
+    write(obj, out)
+    return out.getvalue()
+
+
 def test_metagame_mt_argmax(capsys):
     code, out, _ = _run(capsys, "metagame", "mt-argmax", "--k", "3")
     assert code == 0
@@ -522,12 +548,13 @@ def test_metagame_phi_max(capsys):
         assert abs(metagame.phi(*pt) - 0.25) <= 1e-12
 
 
-def _python(code):
-    """stdout of a fresh interpreter running code with this package on its path."""
+def _python(code, *args):
+    """stdout of a fresh interpreter running code, with args as sys.argv[1:]
+    and this package on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code],
+    return subprocess.run([sys.executable, "-c", code, *args],
                           env=env, capture_output=True, text=True, check=True).stdout
 
 
@@ -537,35 +564,65 @@ def test_cli_import_skips_scipy_optimize():
 
 
 _SCIPY_FREE_RUNS = """
-import contextlib, io, json, sys
+import contextlib, io, json, random, sys
+from pathlib import Path
 import stopcc.cli as cli
+from stopcc import graphs
+
+tmp = Path(sys.argv[1])
+loaded = []  # the commands after which scipy was loaded
 
 def main(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(list(argv)) == 0, argv
+        assert cli.main([str(a) for a in argv]) == 0, argv
+    if "scipy" in sys.modules:
+        loaded.append(argv)
     return out.getvalue()
 
-main("run", "--family", "two_star_plus_star", "--n", "3000", "--strategy", "blind:alpha=1/3",
-     "--strategy", "twophase:alpha=1/3,gamma=1/2,trigger=0|1", "--mode", "mc", "--reps", "4")
-main("run", "--ktree", "2", "--n", "60", "--strategy", "greedy", "--mode", "mc", "--reps", "4")
-main("run", "--family", "path", "--n", "12", "--strategy", "dp", "--mode", "dp")
-main("blind-scan", "--kind", "ktree", "--k", "2", "--n", "50")
+# a 2-tree whose ids are not its construction order
+seq = graphs.gen_random_ktree(2, 40, seed=7)
+label = random.Random(7).sample(range(seq.n), seq.n)
+seq = graphs.ConstructionSequence(2, [(label[v], {label[w] for w in m}) for v, m in seq.order])
+assert not graphs.graph_from_construction(seq).ids_eliminate
+with open(tmp / "relabelled.txt", "w") as fh:
+    graphs.write_sequence(seq, fh)
+
+main("generate", "ktree", "--k", 2, "--n", 12, "-o", tmp / "ktree.txt")
+main("generate", "family", "--name", "random_tree", "--n", 30, "-o", tmp / "tree.txt",
+     "--seq-out", tmp / "tree-seq.txt")
+main("run", "--family", "two_star_plus_star", "--n", 3000, "--strategy", "blind:alpha=1/3",
+     "--strategy", "twophase:alpha=1/3,gamma=1/2,trigger=0|1", "--mode", "mc", "--reps", 4)
+main("run", "--ktree", 2, "--n", 60, "--strategy", "greedy", "--mode", "mc", "--reps", 4)
+main("run", "--family", "path", "--n", 12, "--strategy", "dp", "--mode", "dp")
+main("run", "--family", "grid", "--d", 2, "--side", 6, "--strategy", "blind:alpha=1/3",
+     "--strategy", "greedy", "--mode", "mc", "--reps", 4)
+main("run", "--family", "random_tree", "--n", 7, "--seed", 3, "--strategy", "blind:l=3",
+     "--strategy", "greedy", "--mode", "exact")
+main("run", "--seq-file", tmp / "relabelled.txt", "--strategy", "greedy",
+     "--strategy", "blind:alpha=1/3", "--mode", "mc", "--reps", 4)
+main("concentration", "--seq-file", tmp / "relabelled.txt", "--alpha", "1/2",
+     "--epsilon", "0.1", "--reps", 4)
+main("concentration", "--family", "random_tree", "--n", 50, "--alpha", "1/2",
+     "--epsilon", "0.1", "--reps", 4)
+main("blind-scan", "--kind", "ktree", "--k", 2, "--n", 50)
+main("blind-scan", "--kind", "tree", "--n", 50)
 main("metagame", "phi-max")
-print(json.dumps("scipy" in sys.modules))
-print(main("concentration", "--family", "grid", "--d", "2", "--side", "10",
-           "--alpha", "1/3", "--epsilon", "0.1", "--reps", "20", "--seed", "5"))
-print(json.dumps("scipy" in sys.modules))
+main("metagame", "mt-argmax", "--k", 3)
+report = main("concentration", "--family", "grid", "--d", 2, "--side", 10,
+              "--alpha", "1/3", "--epsilon", "0.1", "--reps", 20, "--seed", 5)
+print(json.dumps([[str(a) for a in argv] for argv in loaded]))
+print(report)
 """
 
 
-def test_forests_and_eliminating_ids_never_import_scipy():
-    # scipy serves only non-forests whose ids do not eliminate, such as the
-    # grid, and imports on that first use with the report unchanged
-    lines = _python(_SCIPY_FREE_RUNS).splitlines()
-    assert json.loads(lines[0]) is False
-    assert json.loads(lines[-1]) is True
-    report = json.loads("\n".join(lines[1:-1]))
+def test_no_cli_command_imports_scipy(tmp_path):
+    # scipy is a test-only oracle: no subcommand loads it, on forests, on
+    # eliminating ids, or on the grids and relabelled graphs that need a
+    # spanning forest; the grid's report is unchanged
+    lines = _python(_SCIPY_FREE_RUNS, str(tmp_path)).splitlines()
+    assert json.loads(lines[0]) == []
+    report = json.loads("\n".join(lines[1:]))
     del report["wall_clock_s"]
     assert report == {
         "alpha": 1 / 3, "beta": 1.8, "epsilon": 0.1,
@@ -642,11 +699,10 @@ def test_chordal_instances_in_id_order_need_no_spanning_tree(capsys):
     for instance in (["--family", "two_star_plus_star", "--n", "3000"],
                      ["--ktree", "2", "--n", "300"], ["--ktree", "3", "--n", "300"],
                      ["--family", "grid", "--d", "2", "--side", "12"]):
-        spy = mock.patch.object(activation, "minimum_spanning_tree",
-                                wraps=activation.minimum_spanning_tree)
-        with spy as mst:
+        spy = mock.patch.object(activation, "spanning_forest", wraps=activation.spanning_forest)
+        with spy as forest:
             for argv in (["run", *rules, "--mode", "mc", "--reps", "6"],
                          ["concentration", "--alpha", "1/3", "--epsilon", "0.1", "--reps", "6"]):
                 code, _, _ = _run(capsys, *argv, *instance)
                 assert code == 0, (argv, instance)
-        assert mst.called == (instance[1] == "grid"), instance
+        assert forest.called == (instance[1] == "grid"), instance

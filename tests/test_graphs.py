@@ -249,6 +249,63 @@ def _scipy_forest(g):
     return g.edge_count == g.n - c
 
 
+def _differential_cases(rng):
+    """(graph, weights): n = 0 and 1, random graphs, random forests with
+    isolated vertices, and paths, each with random ids and edge weights 1..4
+    (so with ties)."""
+    graphs_ = [Graph.from_edges(0, []), Graph.from_edges(1, [])]
+    for _ in range(150):
+        n = rng.randint(0, 30)
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs_.append(Graph.from_edges(n, rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n)))))
+        forest = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+        graphs_.append(_relabel(Graph.from_edges(n, forest), rng))
+        graphs_.append(_relabel(Graph.from_edges(n, [(v - 1, v) for v in range(1, n)]), rng))
+    return [(g, np.array([rng.randint(1, 4) for _ in range(g.edge_count)], dtype=np.int64))
+            for g in graphs_]
+
+
+def test_spanning_forest_labels_and_rooting_match_scipy():
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    forests = 0
+    for g, weights in _differential_cases(random.Random(23)):
+        n = g.n
+        eu, ev = g.edge_arrays
+        adjacency = csr_matrix((np.ones(len(eu)), (eu, ev)), shape=(n, n))
+        count, labels = connected_components(adjacency, directed=False)
+        assert g._component_labels.tolist() == labels.tolist(), g
+        picked, _ = graphs.spanning_forest(n, eu, ev, weights)
+        mst = minimum_spanning_tree(csr_matrix((weights, (eu, ev)), shape=(n, n)))
+        assert sorted(picked.tolist()) == sorted(mst.data.tolist()), g
+        assert g.is_forest() == (g.edge_count == n - count)
+        if g.is_forest():
+            forests += 1
+            # a virtual vertex n joined to each tree's lowest vertex roots
+            # scipy's search there
+            roots = [int(np.flatnonzero(labels == c)[0]) for c in range(count)]
+            joined = csr_matrix((np.ones(len(eu) + count),
+                                 (np.concatenate((eu, [n] * count)), np.concatenate((ev, roots)))),
+                                shape=(n + 1, n + 1))
+            _, before = breadth_first_order(joined, n, directed=False, return_predecessors=True)
+            assert g.forest_parent.tolist() == before[:n].tolist(), g
+    assert forests > 200
+
+
+def test_spanning_forest_rounds_are_logarithmic():
+    # every round at least halves the components that still have an edge;
+    # _roots runs once per round
+    n = 10**4
+    path = _relabel(Graph.from_edges(n, [(v - 1, v) for v in range(1, n)]), random.Random(4))
+    eu, ev = path.edge_arrays
+    with mock.patch.object(graphs, "_roots", wraps=graphs._roots) as rounds:
+        picked, _ = graphs.spanning_forest(n, eu, ev, np.zeros(n - 1, dtype=np.int64))
+    assert len(picked) == n - 1
+    assert 1 <= rounds.call_count <= math.ceil(math.log2(n)) + 1
+
+
 def _sample_k2_sequence():
     return ConstructionSequence(
         2,
@@ -676,16 +733,14 @@ def test_forests_whose_ids_do_not_eliminate_read_one_orientation():
     in_order = Graph.from_edges(n, forest)
     shuffled = _relabel(in_order, rng)
     sigma = np.random.default_rng(21).permutation(n)
-    from scipy.sparse import csgraph
-
-    bfs = mock.patch.object(csgraph, "breadth_first_order", wraps=csgraph.breadth_first_order)
+    tour = mock.patch.object(graphs, "_root_trees", wraps=graphs._root_trees)
     mcs = mock.patch.object(graphs, "_mcs_order", wraps=graphs._mcs_order)
     kernel = mock.patch.object(activation, "_merge_times", wraps=activation._merge_times)
-    with bfs as search, mcs as mcs_order, kernel as merge_times:
+    with tour as rooting, mcs as mcs_order, kernel as merge_times:
         assert not shuffled.ids_eliminate
         counts = [activation.component_count(shuffled, sigma[:t]) for t in range(n + 1)]
         assert shuffled.elimination_arcs is not None
-        assert not merge_times.called and not mcs_order.called and search.call_count == 1
+        assert not merge_times.called and not mcs_order.called and rooting.call_count == 1
         parent = shuffled.forest_parent
         # one orientation: each tree hangs from its lowest vertex
         roots = np.flatnonzero(parent == n)
@@ -697,7 +752,7 @@ def test_forests_whose_ids_do_not_eliminate_read_one_orientation():
         assert [activation.component_count(in_order, sigma[:t]) for t in range(n + 1)] \
             == activation.component_count_trace(in_order, sigma)
         assert in_order.elimination_arcs is not None
-        assert search.call_count == 1 and not mcs_order.called
+        assert rooting.call_count == 1 and not mcs_order.called
     assert not parent.flags.writeable
     for name in ("_component_count", "_component_labels", "forest_parent"):
         assert name not in vars(in_order)  # the witness kernel needs none of them
