@@ -5,8 +5,11 @@ Everything that can be exact is exact (integer/Fraction arithmetic).  The
 subset DP has two tiers: the exact tier (n <= 12) keeps the integers
 W(S) = V(S)*(n-|S|)! and returns V as Fractions; the float tier (n <= 24)
 keeps V in double precision, with the exact tier as its cross-check.  It
-reads a table of the component count of every subset, built in NumPy over
-all masks at once; the flood fill cc_of_mask is its oracle.
+reads a uint8 table of the component count of every subset, built in NumPy
+over all masks at once: by doubling on each vertex in turn for a forest and
+for any graph whose ids are an elimination order, as the paper's k-trees in
+construction order are, and by frontier growth for any other graph.  The
+flood fill cc_of_mask is its oracle.
 
 The DP sweeps the masks block by block, a block being the masks that share
 their top n - _DP_BLOCK_BITS bits P, so that the block's values stay in cache.
@@ -204,29 +207,42 @@ def _popcounts(size):
 
 
 def _component_counts(graph):
-    """int64 CC of every subset bitmask, built over all masks at once.
+    """uint8 CC of every subset bitmask, built over all masks at once; a
+    count never exceeds n <= DP_CAP.
 
-    A forest doubles on its highest vertex v: for S < 2^v,
-    CC(S + v) = CC(S) + 1 - |S & lower neighbours of v|, since the
-    neighbours of v inside S lie in distinct components.  Any other graph
-    grows the component of each mask's lowest vertex frontier by frontier,
-    takes rest(S) = S minus that component, and counts the steps of the
-    rest chain down to 0.
+    A forest, or any graph whose ids eliminate, doubles on its highest
+    vertex v: for S < 2^v, CC(S + v) = CC(S) + 1 minus the number of
+    components of S that v joins.  On a forest the lower neighbours of v
+    inside S lie in distinct components, so that is |S & lower neighbours|;
+    when the ids eliminate they form a clique, so it is [S meets them].
+    Any other graph takes _frontier_counts.
     """
     n = graph.n
-    size = 1 << n
     adj_masks = _adjacency_masks(graph)
-    if graph.is_forest():
-        # no 2^n mask array: each doubling ANDs a fresh arange of its half
-        cc = np.zeros(size, dtype=np.int64)
-        for v in range(n):
-            half = 1 << v
-            upper = cc[half: 2 * half]
+    eliminate = graph.ids_eliminate
+    if not eliminate and not graph.is_forest():
+        return _frontier_counts(n, adj_masks)
+    # no 2^n mask array: each doubling ANDs a fresh arange of its half
+    cc = np.zeros(1 << n, dtype=np.uint8)
+    for v in range(n):
+        half = 1 << v
+        upper = cc[half: 2 * half]
+        lower = np.arange(half, dtype=np.uint32)
+        lower &= np.uint32(adj_masks[v])
+        if eliminate:
+            np.add(cc[:half], lower == 0, out=upper)
+        else:
             np.add(cc[:half], 1, out=upper)
-            lower = np.arange(half, dtype=np.uint32)
-            lower &= np.uint32(adj_masks[v])
             np.subtract(upper, _bit_counts(lower), out=upper)
-        return cc
+    return cc
+
+
+def _frontier_counts(n, adj_masks):
+    """uint8 CC of every subset bitmask of a graph that is neither a forest
+    nor id-eliminating: grow the component of each mask's lowest vertex
+    frontier by frontier, take rest(S) = S minus that component, and count
+    the steps of the rest chain down to 0."""
+    size = 1 << n
     masks = np.arange(size, dtype=np.uint32)
     # nbr[S] = OR of the neighbourhoods of the vertices of S, by doubling
     nbr = np.zeros(size, dtype=np.uint32)
@@ -244,7 +260,7 @@ def _component_counts(graph):
     del nbr
     rest = comp
     rest ^= masks  # S minus the component of its lowest vertex
-    cc = np.zeros(size, dtype=np.int64)
+    cc = np.zeros(size, dtype=np.uint8)
     live = masks[1:]
     links = live
     while live.size:
@@ -260,7 +276,7 @@ def solve_dp(graph, exact=False):
     active subsets.  Float tier up to n=24; exact-rational tier up to n=12.
 
     The sweep runs over blocks of 2^_DP_BLOCK_BITS masks (see the module
-    docstring).  Besides the int64 component-count table it allocates only
+    docstring).  Besides the uint8 component-count table it allocates only
     the value and stop tables, 8 + 1 bytes per mask, and working arrays of
     O(2^_DP_BLOCK_BITS) entries."""
     n = graph.n
@@ -281,8 +297,8 @@ def _solve_dp(graph, exact_tier):
     cc_rows = cc.reshape(-1, 1 << width)
     pc = _popcounts(1 << width)
     # the local layer order, shared by every block; uint8 keys take NumPy's
-    # stable radix sort
-    order = np.argsort(pc, kind="stable").astype(np.uint32)
+    # stable radix sort; take converts any other index dtype to intp per call
+    order = np.argsort(pc, kind="stable")
     offsets = np.searchsorted(pc[order], np.arange(width + 2))
     # exact tier: W(S) <= n*(n-|S|)! <= n*n! < 2**63 for n <= 19, so int64
     # is exact under DP_EXACT_CAP
@@ -306,14 +322,16 @@ def _solve_dp(graph, exact_tier):
             # layer, so adding it leaves acc bit-identical
             acc = np.zeros(len(layer), dtype=values.dtype)
             for b in range(width):
-                acc += block.take(layer | np.uint32(1 << b))
+                acc += block.take(layer | (1 << b))
             for row in above:
                 acc += row.take(layer)
             remaining = n - p.bit_count() - tau
+            here, cont = block_cc.take(layer), acc
             if exact_tier:
-                here, cont = block_cc.take(layer) * math.factorial(remaining), acc
+                # NumPy 2 refuses a uint8 array times a Python int above 255
+                here = here.astype(np.int64) * math.factorial(remaining)
             else:
-                here, cont = block_cc.take(layer), acc / remaining
+                cont = acc / remaining
             block[layer] = np.maximum(here, cont)
             block_stop[layer] = here >= cont - tol
     return ValueTable(n, values, stop, exact=exact_tier)

@@ -79,9 +79,22 @@ def maximize_phi():
     {a = 1/2, b = 0}, {a = 1/2, g = 1/2} and at (1, 1, 1/2).  The step puts
     1/2 and 1 on the grid, so the grid holds points of all three sets and
     its maximizers are exact ones.
+
+    The grid is evaluated one alpha-plane at a time, a length-1 slice of
+    the alpha axis, so that every point's arithmetic is that of the whole
+    grid at once while only one plane is held.
     """
     axis = np.arange(0.0, 1.005, 0.01)
-    vals = phi_simplified(*np.meshgrid(axis, axis, axis, indexing="ij", sparse=True))
-    best = vals.max()
-    points = axis[np.argwhere(vals == best)]
+    beta, gamma = axis.reshape(1, -1, 1), axis.reshape(1, 1, -1)
+    best, hits = -np.inf, []
+    for i in range(len(axis)):
+        vals = phi_simplified(axis[i: i + 1].reshape(1, 1, 1), beta, gamma)
+        plane_best = vals.max()
+        if plane_best > best:
+            best, hits = plane_best, []
+        if plane_best == best:
+            plane_hits = np.argwhere(vals == best)  # rows (0, b, g), in order
+            plane_hits[:, 0] = i
+            hits.append(plane_hits)
+    points = axis[np.concatenate(hits)]
     return PhiMaximum(float(best), tuple(map(tuple, points.tolist())))

@@ -114,7 +114,7 @@ def test_solve_dp_path3_by_hand():
 def _assert_table_matches_flood_fill(g):
     adj_masks = exact._adjacency_masks(g)
     table = exact._component_counts(g)
-    assert table.dtype == np.int64
+    assert table.dtype == np.uint8
     assert table.tolist() == [exact.cc_of_mask(adj_masks, mask) for mask in range(1 << g.n)]
 
 
@@ -132,19 +132,38 @@ def test_component_count_table_matches_flood_fill(monkeypatch):
         extra = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if (u, v) not in triangle and rng.random() < 0.3]
         cyclic.append(Graph.from_edges(n, triangle + extra))
-    # the paper's k-trees, a grid whose components take many frontier steps
-    # to grow, and a cycle whose lowest-vertex component grows both ways
-    for k in (2, 3):
-        for n, seed in ((k + 1, 0), (7, 1), (10, 2)):
-            cyclic.append(graphs.graph_from_construction(graphs.gen_random_ktree(k, n, seed)))
-    cyclic.append(graphs.gen_named_family("grid", {"d": 2, "side": 4})[0])
-    cyclic.append(Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)]))
-    for g in forests + cyclic:
+    # non-forests whose ids eliminate: the paper's k-trees, a k-star and a
+    # two_star_plus_star; then the k-trees with shuffled ids
+    ktrees = [graphs.graph_from_construction(graphs.gen_random_ktree(k, n, seed))
+              for k in (2, 3) for n, seed in ((k + 1, 0), (7, 1), (10, 2))]
+    eliminating = ktrees + [
+        graphs.gen_named_family("k_star", {"k": 3, "n": 9})[0],
+        graphs.gen_named_family("two_star_plus_star", {"n": 9, "ratio": Fraction(1, 2)})[0],
+    ]
+    for g in ktrees:
+        ids = list(range(g.n))
+        rng.shuffle(ids)
+        cyclic.append(Graph.from_edges(g.n, [(ids[u], ids[v]) for u, v in g.edges()]))
+    # a grid whose components take many frontier steps to grow, and a cycle
+    # whose lowest-vertex component grows both ways
+    grid = graphs.gen_named_family("grid", {"d": 2, "side": 4})[0]
+    cycle = Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)])
+    cyclic += [grid, cycle]
+    assert all(g.ids_eliminate for g in eliminating)
+    assert not grid.ids_eliminate and not cycle.ids_eliminate
+    # the frontier growth runs exactly on the graphs that are neither
+    # forests nor id-eliminating
+    frontier_counts, grown = exact._frontier_counts, []
+    monkeypatch.setattr(exact, "_frontier_counts",
+                        lambda *args: grown.append(args) or frontier_counts(*args))
+    for g in forests + eliminating + cyclic:
         assert g.is_forest() == (g in forests)
+        grown.clear()
         _assert_table_matches_flood_fill(g)
+        assert len(grown) == (not g.is_forest() and not g.ids_eliminate)
     # numpy < 2 has no bitwise_count; the forest doubling needs the fallback
     monkeypatch.delattr(np, "bitwise_count", raising=False)
-    for g in forests + cyclic:
+    for g in forests + eliminating + cyclic:
         _assert_table_matches_flood_fill(g)
 
 
@@ -250,20 +269,23 @@ def test_solve_dp_blocks_match_one_block_bit_for_bit(monkeypatch):
 
 def test_solve_dp_peak_memory_is_the_tables_plus_slack():
     # each bound is the measured peak plus 1 byte per mask.  The CC, value
-    # and stop tables take 8 + 8 + 1 bytes per mask, and the block sweep
-    # 1.65 more: a 2^n layer order, 4 bytes per mask, would break the
-    # bound.  A forest's CC build alone peaks at its 8-byte table plus 3:
-    # a 2^n uint32 mask array would break that bound
-    g = _path(20)
-    for build, bytes_per_mask in ((exact._component_counts, 12), (exact.solve_dp, 19.65)):
-        tracemalloc.start()
-        try:
-            build(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bytes_per_mask * (1 << g.n), \
-            f"{build.__name__}: peak {peak / (1 << g.n):.2f} bytes per mask"
+    # and stop tables take 1 + 8 + 1 bytes per mask, and the block sweep
+    # 1.89 more: a 2^n layer order, 8 bytes per mask, would break the
+    # bound.  The doubling CC build of a forest or of a graph whose ids
+    # eliminate peaks at its 1-byte table plus 3: a 2^n uint32 mask array,
+    # as the frontier growth takes, would break that bound
+    path = _path(20)
+    ktree = graphs.graph_from_construction(graphs.gen_random_ktree(2, 20, 0))
+    for g in (path, ktree):
+        for build, bytes_per_mask in ((exact._component_counts, 5.0), (exact.solve_dp, 12.89)):
+            tracemalloc.start()
+            try:
+                build(g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bytes_per_mask * (1 << g.n), \
+                f"{build.__name__}: peak {peak / (1 << g.n):.2f} bytes per mask"
 
 
 def test_solve_dp_caps():

@@ -1,8 +1,10 @@
 """Analytic side games: the trivariate score and the width-k score."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stopcc import metagame
@@ -72,3 +74,23 @@ def test_maximize_phi_returns_exact_grid_maximizers():
     # 101 + 101 - 1 points on the two a = 1/2 lines, plus the corner
     assert len(result.maximizers) == 202
     assert all(metagame.phi_simplified(*pt) == 0.25 for pt in result.maximizers)
+
+
+def test_maximize_phi_holds_one_alpha_plane(monkeypatch):
+    # the whole 101^3 grid at once peaked at 16 MB; one plane stays below 1 MB
+    tracemalloc.start()
+    try:
+        metagame.maximize_phi()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, f"peak {peak} bytes"
+    # the planes, stacked, are byte-equal to the grid evaluated at once
+    phi_simplified, planes = metagame.phi_simplified, []
+    monkeypatch.setattr(metagame, "phi_simplified",
+                        lambda *args: planes.append(phi_simplified(*args)) or planes[-1])
+    metagame.maximize_phi()
+    axis = np.arange(0.0, 1.005, 0.01)
+    grid = phi_simplified(*np.meshgrid(axis, axis, axis, indexing="ij", sparse=True))
+    assert grid.shape == (101, 101, 101)
+    assert np.concatenate(planes).tobytes() == grid.tobytes()
