@@ -241,8 +241,7 @@ def cmd_run(args):
     g, seq, descriptor = _build_instance(args)
     if args.mode == "exact" and g.n > exact.PERM_CAP:
         raise ResourceLimitError(
-            f"exact mode enumerates n! permutations and is capped at "
-            f"n={exact.PERM_CAP}; instance has n={g.n}"
+            f"exact mode is capped at n={exact.PERM_CAP}; instance has n={g.n}"
         )
     if args.mode == "dp" or any(spec.kind == "dp_optimal" for spec in specs):
         # below the exact tier's cap both tiers give the same stop flags
@@ -252,7 +251,7 @@ def cmd_run(args):
     results = []
     if args.mode == "exact":
         for text, spec in zip(args.strategy, specs):
-            value = exact.brute_force_strategy_value(g, seq, spec)
+            value = exact.strategy_value(g, seq, spec)
             results.append({"strategy": text, "mode": "exact", **_rational(value)})
     elif args.mode == "dp":
         value = table.root_value

@@ -21,6 +21,11 @@ bit, the low bits from its own block and then the high bits from the solved
 blocks, which is the order of a single sweep over all 2^n masks, so every
 value and stop flag is bit-identical to it; for n <= _DP_BLOCK_BITS there is
 one block, and that sweep is what runs.
+
+The same sweep scores a rule: strategy_value puts the rule's stop flags in
+place of the max on the exact tier, so one sweep serves the optimal value V*
+and every rule's value V^pi.  brute_force_strategy_value, which walks the
+arrival orders through the activation engine, is its independent oracle.
 """
 
 from __future__ import annotations
@@ -279,17 +284,24 @@ def solve_dp(graph, exact=False):
     docstring).  Besides the uint8 component-count table it allocates only
     the value and stop tables, 8 + 1 bytes per mask, and working arrays of
     O(2^_DP_BLOCK_BITS) entries."""
-    n = graph.n
-    if n > DP_CAP:
-        raise ResourceLimitError(f"subset DP capped at n={DP_CAP}, got n={n}")
-    if exact and n > DP_EXACT_CAP:
-        raise ResourceLimitError(
-            f"exact-rational DP capped at n={DP_EXACT_CAP}, got n={n}"
-        )
+    _check_dp_caps(graph.n, exact)
     return _solve_dp(graph, exact)
 
 
-def _solve_dp(graph, exact_tier):
+def _check_dp_caps(n, exact_tier):
+    if n > DP_CAP:
+        raise ResourceLimitError(f"subset DP capped at n={DP_CAP}, got n={n}")
+    if exact_tier and n > DP_EXACT_CAP:
+        raise ResourceLimitError(
+            f"exact-rational DP capped at n={DP_EXACT_CAP}, got n={n}"
+        )
+
+
+def _solve_dp(graph, exact_tier, rule=None, margins=False):
+    """The sweep behind solve_dp.  With rule, strategies.stop_flags of a
+    rule, the flags it returns replace the max: a state where it stops keeps
+    its CC, any other the mean of its successors.  margins accumulates the
+    array sum over v of CC(S | v) - n CC(S), the greedy margin, for rule."""
     n = graph.n
     cc = _component_counts(graph)
     width = min(n, _DP_BLOCK_BITS)
@@ -313,7 +325,7 @@ def _solve_dp(graph, exact_tier):
         block, block_cc, block_stop = value_rows[p], cc_rows[p], stop_rows[p]
         # the solved blocks that S + (a high bit not in S) falls in, by
         # ascending bit; a high bit already in S would add S's own 0
-        above = [value_rows[p | 1 << j] for j in range(n - width) if not p >> j & 1]
+        above = [p | 1 << j for j in range(n - width) if not p >> j & 1]
         # the full block's top layer is the full mask, set above
         top = width - 1 if p == full_block else width
         for tau in range(top, -1, -1):
@@ -321,20 +333,48 @@ def _solve_dp(graph, exact_tier):
             # a low bit already in S reads S's own value, still 0 in this
             # layer, so adding it leaves acc bit-identical
             acc = np.zeros(len(layer), dtype=values.dtype)
+            margin = np.zeros(len(layer), dtype=np.int64) if margins else None
             for b in range(width):
-                acc += block.take(layer | (1 << b))
-            for row in above:
-                acc += row.take(layer)
+                up = layer | (1 << b)
+                acc += block.take(up)
+                if margins:
+                    margin += block_cc.take(up)
+            for q in above:
+                acc += value_rows[q].take(layer)
+                if margins:
+                    margin += cc_rows[q].take(layer)
             remaining = n - p.bit_count() - tau
             here, cont = block_cc.take(layer), acc
+            if margins:  # each low bit in S added CC(S), the high bits in p nothing
+                margin -= (n - p.bit_count()) * here.astype(np.int64)
             if exact_tier:
                 # NumPy 2 refuses a uint8 array times a Python int above 255
                 here = here.astype(np.int64) * math.factorial(remaining)
             else:
                 cont = acc / remaining
-            block[layer] = np.maximum(here, cont)
-            block_stop[layer] = here >= cont - tol
+            if rule is None:
+                block[layer] = np.maximum(here, cont)
+                block_stop[layer] = here >= cont - tol
+            else:
+                stops = rule(layer | p << width, n - remaining, margin)
+                block[layer] = np.where(stops, here, cont)
+                block_stop[layer] = stops
     return ValueTable(n, values, stop, exact=exact_tier)
+
+
+def strategy_value(graph, seq, spec):
+    """Exact expected score of a rule, as a Fraction: the exact tier of the
+    subset sweep with the rule's strategies.stop_flags in place of the max,
+    W(S) = CC(S) (n-|S|)! where it stops, else the sum over v not in S of
+    W(S + v).  brute_force_strategy_value is its independent oracle."""
+    n = graph.n
+    _check_dp_caps(n, True)
+    if seq is not None and seq.n != n:
+        raise ValidationError("sequence and graph disagree on vertex count")
+    if n == 0:  # the empty set is full: no rule is asked
+        return Fraction(0)
+    rule = strategies.stop_flags(spec, n, seq)
+    return _solve_dp(graph, True, rule, margins=spec.kind == "greedy_gain").root_value
 
 
 def brute_force_strategy_value(graph, seq, spec):

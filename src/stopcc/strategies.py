@@ -186,6 +186,31 @@ def decide(spec, view, seq=None):
     return STOP if t >= position_stop_time(spec, n, triggered) else CONTINUE
 
 
+def stop_flags(spec, n, seq=None):
+    """decide over one layer of the subset sweep: flags(masks, t, margin) is
+    the stop flag of every active set in the array masks, each of size t < n.
+    margin, read by greedy alone, is the array of its n - t - nbr_sum.  Raises
+    what decide raises on its first call, or for two-phase at t = a."""
+    if spec.kind == "greedy_gain":
+        return lambda masks, t, margin: ~_greedy_continues(spec, margin)
+    if spec.kind == "dp_optimal":
+        if spec.table is None:
+            raise UsageError("dp_optimal needs a solved value table attached")
+        return lambda masks, t, margin: spec.table.stop[masks]
+    # the stop times with no trigger active and with one active; like decide,
+    # position_stop_time reads the trigger set only when two-phase asks
+    trigger = set()
+
+    def triggered(a):
+        trigger.update(_trigger_set(spec, seq, n))
+        return True
+
+    early = position_stop_time(spec, n, lambda a: False)
+    late = position_stop_time(spec, n, triggered)
+    trigger_mask = sum(1 << v for v in trigger)
+    return lambda masks, t, margin: (masks & trigger_mask == 0) & (t >= early) | (t >= late)
+
+
 def _greedy_stop_time(spec, graph, sigma):
     """Stop time of a greedy rule on the order sigma of a chordal graph, read
     off the whole nbr_sum trace: the first t in 1..n-1 where

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, report shapes, exit codes."""
 
+import importlib.util
 import io
 import json
 import os
@@ -211,6 +212,38 @@ def test_run_exact_mode_respects_cap(capsys):
     code, _, err = _run(capsys, "run", "--family", "path", "--n", "12",
                         "--strategy", "greedy", "--mode", "exact")
     assert code == cli.EXIT_RESOURCE and "capped" in err
+
+
+def test_run_exact_mode_sweeps_subsets_not_orders(monkeypatch, capsys):
+    # the benchmark's exact_small catalog, read from its workload module
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    catalog = workloads.EXACT_CATALOG
+    expected = []
+    for seed in range(4):
+        g, seq = graphs.gen_named_family("random_tree", {"n": 7, "seed": seed})
+        table = exact.solve_dp(g, exact=True)
+        specs = [strategies.parse_strategy(text) for text in catalog]
+        values = [exact.brute_force_strategy_value(
+            g, seq, strategies.dp_optimal(table) if spec.kind == "dp_optimal" else spec)
+            for spec in specs]
+        expected.append([f"{v.numerator}/{v.denominator}" for v in values])
+
+    def no_walk(*args):
+        raise AssertionError("run --mode exact walked arrival orders")
+
+    monkeypatch.setattr(exact, "brute_force_strategy_value", no_walk)
+    monkeypatch.setattr(activation.ActivationState, "activate", no_walk)
+    for seed in range(4):
+        argv = ["run", "--family", "random_tree", "--n", "7", "--seed", str(seed),
+                "--mode", "exact"]
+        for text in catalog:
+            argv += ["--strategy", text]
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        assert [r["exact"] for r in json.loads(out)["results"]] == expected[seed]
 
 
 def test_run_dp_mode(capsys):

@@ -323,7 +323,7 @@ def _mean_over_orders(graph, seq, spec):
     return Fraction(total, math.factorial(graph.n))
 
 
-def test_brute_force_strategy_value_matches_every_order():
+def _oracle_instances():
     rng = random.Random(71)
     instances = [Graph.from_edges(0, []), Graph.from_edges(1, []),
                  _path(6), graphs.gen_named_family("star", {"n": 5})[0],
@@ -333,23 +333,59 @@ def test_brute_force_strategy_value_matches_every_order():
             "random_tree", {"n": n, "seed": rng.random()})[0])
         instances.append(Graph.from_edges(
             n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]))
-    for g in instances:
-        n = g.n
-        # any sequence on n vertices names an initial clique; n = 0 never reads it
-        seq = graphs.gen_named_family("path", {"n": n})[1] if n else None
-        specs = [strategies.blind_threshold(l) for l in (0, 3, n)]
-        specs += [strategies.blind_fraction(a) for a in (0, Fraction(1, 3), 1)]
-        specs += [strategies.fixed_permutation_oracle(s) for s in (0, 3, n + 1)]
-        for trigger in ("initial_clique", frozenset([0]), frozenset(range(max(n, 1)))):
-            specs.append(strategies.two_phase(Fraction(1, 3), Fraction(2, 3), trigger))
-        specs += [strategies.greedy_gain(), strategies.greedy_gain(strict=True),
-                  strategies.dp_optimal(exact.solve_dp(g, exact=True))]
+    return instances
+
+
+def _catalog(g):
+    """Every rule kind, blind l and alpha at their edges, and two-phase with
+    each kind of trigger, with the sequence its initial clique is read from."""
+    n = g.n
+    # any sequence on n vertices names an initial clique; n = 0 never reads it
+    seq = graphs.gen_named_family("path", {"n": n})[1] if n else None
+    specs = [strategies.blind_threshold(l) for l in (0, 3, n)]
+    specs += [strategies.blind_fraction(a) for a in (0, Fraction(1, 3), 1)]
+    specs += [strategies.fixed_permutation_oracle(s) for s in (0, 3, n + 1)]
+    for trigger in ("initial_clique", frozenset([0]), frozenset(range(max(n, 1)))):
+        specs.append(strategies.two_phase(Fraction(1, 3), Fraction(2, 3), trigger))
+    specs += [strategies.greedy_gain(), strategies.greedy_gain(strict=True),
+              strategies.dp_optimal(exact.solve_dp(g, exact=True))]
+    return seq, specs
+
+
+def test_brute_force_strategy_value_matches_every_order():
+    for g in _oracle_instances():
+        seq, specs = _catalog(g)
         for spec in specs:
             assert exact.brute_force_strategy_value(g, seq, spec) == \
-                _mean_over_orders(g, seq, spec), (n, g.edges(), spec.describe())
+                _mean_over_orders(g, seq, spec), (g.n, g.edges(), spec.describe())
 
 
-def test_brute_force_strategy_value_errors():
+def test_strategy_value_matches_the_oracle(monkeypatch):
+    rng = random.Random(29)
+    instances = _oracle_instances()
+    # the oracle walks up to n! prefixes, so n stays below 8
+    for n in (6, 7):
+        instances.append(graphs.gen_named_family(
+            "random_tree", {"n": n, "seed": rng.random()})[0])
+        instances.append(Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]))
+    for k in (1, 2, 3):
+        for n in (k + 3, 7):
+            instances.append(graphs.graph_from_construction(
+                graphs.gen_random_ktree(k, n, rng.randrange(1000))))
+    for g in instances:
+        seq, specs = _catalog(g)
+        for spec in specs:
+            value = exact.brute_force_strategy_value(g, seq, spec)
+            assert exact.strategy_value(g, seq, spec) == value, \
+                (g.n, g.edges(), spec.describe())
+            # blocks of 2 masks read each other's values, margins and counts
+            with monkeypatch.context() as m:
+                m.setattr(exact, "_DP_BLOCK_BITS", 1)
+                assert exact.strategy_value(g, seq, spec) == value
+
+
+def _check_strategy_value_errors(score):
     g = _path(6)
     _, short_seq = graphs.gen_named_family("path", {"n": 5})
     catalog = [strategies.blind_threshold(3), strategies.blind_fraction(Fraction(1, 2)),
@@ -358,20 +394,27 @@ def test_brute_force_strategy_value_errors():
                strategies.dp_optimal(exact.solve_dp(g, exact=True))]
     for spec in catalog:
         with pytest.raises(ValidationError, match="vertex count"):
-            exact.brute_force_strategy_value(g, short_seq, spec)
+            score(g, short_seq, spec)
     # the trigger is read, so it must be known and below n
     with pytest.raises(UsageError, match="construction sequence"):
-        exact.brute_force_strategy_value(
-            g, None, strategies.two_phase(Fraction(1, 3), 1, "initial_clique"))
+        score(g, None, strategies.two_phase(Fraction(1, 3), 1, "initial_clique"))
     with pytest.raises(ValidationError, match="trigger vertex 99"):
-        exact.brute_force_strategy_value(
-            g, None, strategies.two_phase(Fraction(1, 3), 1, frozenset([0, 99])))
+        score(g, None, strategies.two_phase(Fraction(1, 3), 1, frozenset([0, 99])))
     # alpha = 1 stops at n before the trigger is read
     for trigger in ("initial_clique", frozenset([99])):
-        assert exact.brute_force_strategy_value(
-            g, None, strategies.two_phase(1, 1, trigger)) == 1
+        assert score(g, None, strategies.two_phase(1, 1, trigger)) == 1
     with pytest.raises(UsageError, match="value table"):
-        exact.brute_force_strategy_value(g, None, strategies.dp_optimal(None))
+        score(g, None, strategies.dp_optimal(None))
+
+
+def test_brute_force_strategy_value_errors():
+    _check_strategy_value_errors(exact.brute_force_strategy_value)
+
+
+def test_strategy_value_errors():
+    _check_strategy_value_errors(exact.strategy_value)
+    with pytest.raises(ResourceLimitError):
+        exact.strategy_value(_path(exact.DP_EXACT_CAP + 1), None, strategies.greedy_gain())
 
 
 def test_value_table_export():
