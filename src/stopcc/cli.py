@@ -239,13 +239,10 @@ def cmd_run(args):
         if others:
             raise UsageError(f"--mode dp solves only the dp rule, not {', '.join(others)}")
     g, seq, descriptor = _build_instance(args)
-    if args.mode == "exact" and g.n > exact.PERM_CAP:
-        raise ResourceLimitError(
-            f"exact mode is capped at n={exact.PERM_CAP}; instance has n={g.n}"
-        )
     if args.mode == "dp" or any(spec.kind == "dp_optimal" for spec in specs):
-        # below the exact tier's cap both tiers give the same stop flags
-        table = exact.solve_dp(g, exact=g.n <= exact.DP_EXACT_CAP)
+        # below the exact tier's cap both tiers give the same stop flags;
+        # --mode exact binds the exact tier, which refuses n above its cap
+        table = exact.solve_dp(g, exact=args.mode == "exact" or g.n <= exact.DP_EXACT_CAP)
         specs = [strategies.dp_optimal(table) if spec.kind == "dp_optimal" else spec
                  for spec in specs]
     results = []

@@ -2,7 +2,8 @@
 continue/stop, with the information regime enforced by the view type.
 
 Blind strategies see only (n, t); full-information strategies see the whole
-activation state.  Every strategy stops at t = n at the latest.
+activation state in decide, the per-step reference; orders and the subset
+sweep read stop_flags.  Every strategy stops at t = n at the latest.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .activation import ActivationState, check_permutation, component_count, nbr_sum_trace
+from .activation import (_MASK_CAP, ActivationState, check_permutation, component_count,
+                         nbr_sum_trace)
 from .errors import ParameterError, UsageError, ValidationError
 
 CONTINUE = "continue"
@@ -126,9 +128,9 @@ def stop_count(alpha, n):
 
 
 def position_stop_time(spec, n, triggered):
-    """Stop time on n vertices of a rule that reads only arrival positions;
-    None for greedy and dp.  triggered(a) says whether a trigger vertex is
-    among the first a arrivals; two-phase asks it only when a < n."""
+    """Stop time on n vertices of a rule that reads only arrival positions,
+    and of greedy and dp at n <= 1; else None.  triggered(a) says whether a
+    trigger is among the first a arrivals; two-phase asks it only when a < n."""
     if spec.kind == "blind_threshold":
         return min(spec.l, n)
     if spec.kind == "blind_fraction":
@@ -136,7 +138,7 @@ def position_stop_time(spec, n, triggered):
     if spec.kind == "fixed_permutation_oracle":
         return min(max(spec.stop_time, 1), n)  # first consulted at t = 1
     if spec.kind in ("greedy_gain", "dp_optimal"):
-        return None
+        return n if n <= 1 else None
     if spec.kind != "two_phase":
         raise UsageError(f"unknown strategy kind {spec.kind!r}")
     a = min(max(stop_count(spec.alpha, n), 1), n)  # first consulted at t = 1
@@ -163,6 +165,17 @@ def _greedy_continues(spec, margin):
     return margin > 0 if spec.strict_gain else margin >= 0
 
 
+def _dp_table(spec, n):
+    """The dp rule's value table, checked against n vertices."""
+    if spec.table is None:
+        raise UsageError("dp_optimal needs a solved value table attached")
+    if n > _MASK_CAP:
+        raise UsageError("dp_optimal requires n within the subset-DP cap")
+    if spec.table.n != n:
+        raise ValidationError(f"dp table solves {spec.table.n} vertices, the graph has {n}")
+    return spec.table
+
+
 def decide(spec, view, seq=None):
     """One stop/continue decision from the observable view."""
     if not (spec.is_blind() or isinstance(view, FullView)):
@@ -173,12 +186,8 @@ def decide(spec, view, seq=None):
     if spec.kind == "greedy_gain":
         return CONTINUE if _greedy_continues(spec, n - t - view.state.nbr_sum) else STOP
     if spec.kind == "dp_optimal":
-        if spec.table is None:
-            raise UsageError("dp_optimal needs a solved value table attached")
-        mask = view.state.active_mask
-        if mask is None:
-            raise UsageError("dp_optimal requires n within the subset-DP cap")
-        return STOP if spec.table.should_stop(mask) else CONTINUE
+        table = _dp_table(spec, n)
+        return STOP if table.should_stop(view.state.active_mask) else CONTINUE
 
     def triggered(a):  # active now; in a replay a trigger seen by a stays active
         return t >= a and any(view.state.active[v] for v in _trigger_set(spec, seq, n))
@@ -187,16 +196,15 @@ def decide(spec, view, seq=None):
 
 
 def stop_flags(spec, n, seq=None):
-    """decide over one layer of the subset sweep: flags(masks, t, margin) is
-    the stop flag of every active set in the array masks, each of size t < n.
+    """decide over any array of active sets, a sweep layer or an order's
+    prefixes: flags(masks, t, margin) flags each set of masks, of size t < n.
     margin, read by greedy alone, is the array of its n - t - nbr_sum.  Raises
     what decide raises on its first call, or for two-phase at t = a."""
     if spec.kind == "greedy_gain":
         return lambda masks, t, margin: ~_greedy_continues(spec, margin)
     if spec.kind == "dp_optimal":
-        if spec.table is None:
-            raise UsageError("dp_optimal needs a solved value table attached")
-        return lambda masks, t, margin: spec.table.stop[masks]
+        stop = _dp_table(spec, n).stop
+        return lambda masks, t, margin: stop[masks]
     # the stop times with no trigger active and with one active; like decide,
     # position_stop_time reads the trigger set only when two-phase asks
     trigger = set()
@@ -211,23 +219,13 @@ def stop_flags(spec, n, seq=None):
     return lambda masks, t, margin: (masks & trigger_mask == 0) & (t >= early) | (t >= late)
 
 
-def _greedy_stop_time(spec, graph, sigma):
-    """Stop time of a greedy rule on the order sigma of a chordal graph, read
-    off the whole nbr_sum trace: the first t in 1..n-1 where
-    _greedy_continues fails on the margin n - t - nbr_sum, otherwise n."""
-    n = graph.n
-    margin = np.arange(n, -1, -1) - nbr_sum_trace(graph, sigma)
-    stops = ~_greedy_continues(spec, margin[1:n])
-    return int(stops.argmax()) + 1 if stops.any() else n
-
-
 def run_strategy(graph, seq, spec, sigma):
     """Score one order: returns (stop_time, component count at stop).
 
-    Blind, two-phase and fixed-time rules take position_stop_time, and greedy
-    on a chordal graph takes _greedy_stop_time; both read the count from the
-    arrival-time kernel on that prefix.  Dp, and greedy on any other graph,
-    are consulted after each arrival of sigma through the activation engine.
+    Position rules stop at position_stop_time; dp, and greedy on a chordal
+    graph, at the first flag of stop_flags over the order's sets at
+    t = 1..n-1 (prefix masks, or nbr_sum_trace margins); all read the count
+    from the arrival-time kernel.  Greedy on other graphs steps the engine.
     """
     sigma = check_permutation(sigma, graph.n)
     if seq is not None and seq.n != graph.n:
@@ -236,17 +234,22 @@ def run_strategy(graph, seq, spec, sigma):
     t = position_stop_time(
         spec, n, lambda a: np.isin(sigma[:a], list(_trigger_set(spec, seq, n))).any()
     )
-    if spec.kind == "greedy_gain" and graph.elimination_arcs is not None:
-        t = _greedy_stop_time(spec, graph, sigma)
+    if t is None and (spec.kind == "dp_optimal" or graph.elimination_arcs is not None):
+        flags = stop_flags(spec, n, seq)
+        steps = np.arange(1, n)
+        if spec.kind == "dp_optimal":
+            stops = flags(np.cumsum(np.left_shift(1, sigma[:-1], dtype=np.int64)), steps, None)
+        else:
+            stops = flags(None, steps, n - steps - nbr_sum_trace(graph, sigma)[1:n])
+        t = int(stops.argmax()) + 1 if stops.any() else n
     if t is not None:
         return t, component_count(graph, sigma[:t])
     state = ActivationState(graph)
-    view = FullView(state)
     for t, v in enumerate(sigma.tolist(), start=1):
         state.activate(v)
-        if decide(spec, view, seq) == STOP:
-            return t, state.cc
-    return n, state.cc
+        if t == n or not _greedy_continues(spec, n - t - state.nbr_sum):
+            break
+    return t, state.cc
 
 
 def blind_optimal_threshold(kind, n, k=None):

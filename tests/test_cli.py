@@ -206,12 +206,32 @@ def test_run_exact_mode_reports_rationals(capsys):
     by_name = {r["strategy"]: r for r in report["results"]}
     assert by_name["blind:l=2"]["exact"] == "3/2"
     assert by_name["dp"]["value"] >= 1.5
-
-
-def test_run_exact_mode_respects_cap(capsys):
-    code, _, err = _run(capsys, "run", "--family", "path", "--n", "12",
+    code, out, _ = _run(capsys, "run", "--family", "k_star", "--k", "2", "--n", "5",
                         "--strategy", "greedy", "--mode", "exact")
-    assert code == cli.EXIT_RESOURCE and "capped" in err
+    assert code == 0
+    assert json.loads(out)["instance"] == {"family": "k_star", "k": 2, "n": 5, "seed": 0}
+
+
+def test_run_exact_mode_respects_cap(monkeypatch, capsys):
+    # the sweep's own cap, DP_EXACT_CAP = 12, bounds the mode
+    g, seq = graphs.gen_named_family("path", {"n": 12})
+    code, out, _ = _run(capsys, "run", "--family", "path", "--n", "12",
+                        "--strategy", "greedy", "--mode", "exact")
+    assert code == 0
+    value = exact.strategy_value(g, seq, strategies.greedy_gain())
+    assert json.loads(out)["results"][0]["exact"] == f"{value.numerator}/{value.denominator}"
+
+    def no_table(*args):
+        raise AssertionError("a subset table was built above the cap")
+
+    monkeypatch.setattr(exact, "_component_counts", no_table)
+    for rules in (["greedy"], ["blind:l=2", "dp"]):
+        argv = ["run", "--family", "path", "--n", "13", "--mode", "exact"]
+        for rule in rules:
+            argv += ["--strategy", rule]
+        code, out, err = _run(capsys, *argv)
+        assert code == cli.EXIT_RESOURCE and out == "" and "capped" in err
+        assert "exact-rational DP capped at n=12" in err
 
 
 def test_run_exact_mode_sweeps_subsets_not_orders(monkeypatch, capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stopcc import activation, graphs
-from stopcc.errors import ParameterError, ValidationError
+from stopcc.errors import ParameterError, ResourceLimitError, ValidationError
 from stopcc.graphs import ConstructionSequence, Graph
 
 
@@ -151,6 +151,8 @@ def test_graph_is_immutable():
         with pytest.raises(AttributeError):
             delattr(g, name)
     assert g.n == 3 and g.adj == ((1,), (0,), ()) and g.edges() == [(0, 1)]
+    assert repr(g) == "Graph(n=3, edges=[(0, 1)])"
+    assert g != "Graph(n=3, edges=[(0, 1)])"  # no Graph: __eq__ defers
 
 
 def test_from_edges_names_the_same_first_offender_as_the_reference():
@@ -206,6 +208,7 @@ def _bfs_connected(n, edges):
 def test_forest_and_connectivity_flags():
     triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert not triangle.is_forest()
+    assert triangle.forest_parent is None
     assert triangle.is_connected()
     two_parts = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert two_parts.is_forest()
@@ -304,6 +307,9 @@ def test_spanning_forest_rounds_are_logarithmic():
         picked, _ = graphs.spanning_forest(n, eu, ev, np.zeros(n - 1, dtype=np.int64))
     assert len(picked) == n - 1
     assert 1 <= rounds.call_count <= math.ceil(math.log2(n)) + 1
+    # the keys weight * m + index must fit int64
+    with pytest.raises(ResourceLimitError, match="keys of 2 edges overflow"):
+        graphs.spanning_forest(3, np.array([0, 1]), np.array([1, 2]), [2**62, 0])
 
 
 def _sample_k2_sequence():

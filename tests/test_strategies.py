@@ -122,12 +122,33 @@ def test_dp_strategy_follows_table_and_needs_one():
     # past the subset-DP cap the state keeps no active-set mask to look up
     with pytest.raises(UsageError, match="subset-DP cap"):
         decide(dp_optimal(table), FullView(ActivationState(_path(25))))
+    # n <= 1: the rule stops at n with no set asked, so no table is read
+    for n in (0, 1):
+        for spec in (dp_optimal(None), greedy_gain(), greedy_gain(strict=True)):
+            assert run_strategy(_path(n), None, spec, list(range(n))) == (n, n)
+    with pytest.raises(UsageError, match="needs a solved value table attached"):
+        run_strategy(_path(2), None, dp_optimal(None), [0, 1])
+    # the cap comes before the table's size
+    with pytest.raises(UsageError, match="requires n within the subset-DP cap"):
+        run_strategy(_path(25), None, dp_optimal(table), list(range(25)))
+    # a table of another graph names both vertex counts, wherever it is read
+    g = _path(5)
+    state = ActivationState(g)
+    state.activate(0)
+    for score in (lambda spec: run_strategy(g, None, spec, list(range(5))),
+                  lambda spec: exact.strategy_value(g, None, spec),
+                  lambda spec: decide(spec, FullView(state))):
+        with pytest.raises(ValidationError, match="3 vertices, the graph has 5"):
+            score(dp_optimal(table))
 
 
 def test_fixed_permutation_oracle():
     g = _path(4)
     stop_t, cc = run_strategy(g, None, fixed_permutation_oracle(2), [0, 2, 1, 3])
     assert (stop_t, cc) == (2, 2)
+    assert fixed_permutation_oracle(2).describe() == "fixed_permutation_oracle"
+    with pytest.raises(UsageError, match="unknown strategy kind 'mystery'"):
+        strategies.position_stop_time(strategies.StrategySpec("mystery"), 4, None)
 
 
 def test_constructor_validation():
@@ -340,34 +361,49 @@ def _greedy_by_gain(graph, strict, sigma):
 
 
 def test_greedy_on_chordal_graphs_matches_per_step_rule():
-    # seeded orders on graphs large enough for long greedy runs
+    # seeded orders on graphs large enough for long greedy runs; the cycle
+    # and the grid, not chordal, take the step engine for greedy
     instances = [
         graphs.graph_from_construction(graphs.gen_random_ktree(k, n, seed))
         for k in (1, 2, 3) for n, seed in ((k + 1, 1), (12, 2), (60, 3), (300, 4))
     ]
     instances.append(graphs.gen_named_family(
         "two_star_plus_star", {"n": 60, "ratio": Fraction(2, 3)})[0])
-    specs = [greedy_gain(), greedy_gain(strict=True)]
+    instances.append(Graph.from_edges(8, [(v, (v + 1) % 8) for v in range(8)]))
+    instances.append(graphs.gen_named_family("grid", {"d": 2, "side": 3})[0])
     rng = np.random.default_rng(12)
     for g in instances:
-        assert g.elimination_arcs is not None
+        specs = [greedy_gain(), greedy_gain(strict=True)]
+        if g.n <= exact.DP_EXACT_CAP:
+            specs.append(dp_optimal(exact.solve_dp(g)))
         for _ in range(8):
             sigma = rng.permutation(g.n)
             scores = [run_strategy(g, None, spec, sigma) for spec in specs]
             assert scores == _per_step(g, None, specs, sigma)
-            assert scores == [_greedy_by_gain(g, spec.strict_gain, sigma) for spec in specs]
+            assert scores[:2] == [_greedy_by_gain(g, strict, sigma) for strict in (False, True)]
+    assert sum(g.elimination_arcs is None for g in instances) == 2
 
 
 def test_greedy_takes_the_trace_on_chordal_graphs_only(monkeypatch):
-    played = []
+    # run_strategy never asks decide; it builds the step engine only for
+    # greedy off chordal graphs, and reads the nbr_sum trace only for greedy
+    # on them
+    played, built, traced = [], [], []
 
     class CountingState(ActivationState):
+        def __init__(self, graph, seq=None):
+            built.append(graph)
+            super().__init__(graph, seq)
+
         def activate(self, v):
             played.append(v)
             return super().activate(v)
 
+    def no_decide(*args):
+        raise AssertionError("run_strategy asked decide")
+
     monkeypatch.setattr(strategies, "ActivationState", CountingState)
-    traced = []
+    monkeypatch.setattr(strategies, "decide", no_decide)
     real_trace = strategies.nbr_sum_trace
     monkeypatch.setattr(strategies, "nbr_sum_trace",
                         lambda g, sigma: traced.append(g) or real_trace(g, sigma))
@@ -383,7 +419,22 @@ def test_greedy_takes_the_trace_on_chordal_graphs_only(monkeypatch):
     played.clear()
     table = exact.solve_dp(chordal, exact=True)
     run_strategy(chordal, None, dp_optimal(table), list(range(n)))
-    assert played and traced == []
+    assert played == [] and traced == []
+    ktree = graphs.graph_from_construction(graphs.gen_random_ktree(2, 9, 4))
+    rng = np.random.default_rng(5)
+    for g in (chordal, ktree, cycle, grid):
+        specs = [blind_threshold(3), blind_fraction(Fraction(1, 2)),
+                 two_phase(Fraction(1, 3), Fraction(1, 2), frozenset([0])),
+                 fixed_permutation_oracle(2), greedy_gain(), greedy_gain(strict=True),
+                 dp_optimal(exact.solve_dp(g))]
+        for spec in specs:
+            built.clear()
+            traced.clear()
+            for _ in range(4):
+                run_strategy(g, None, spec, rng.permutation(g.n))
+            greedy, chordal_graph = spec.kind == "greedy_gain", g.elimination_arcs is not None
+            assert built == [g] * 4 * (greedy and not chordal_graph), (g, spec.describe())
+            assert traced == [g] * 4 * (greedy and chordal_graph), (g, spec.describe())
 
 
 def test_blind_runs_are_permutation_prefix_functions():
