@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -73,6 +73,12 @@ class Graph:
             if a == b:
                 raise ValidationError(f"self-loop at vertex {a}")
             raise ValidationError(f"duplicate edge ({a},{b})")
+        return Graph._from_keys(n, keys)
+
+    @staticmethod
+    def _from_keys(n, keys):
+        """The graph with the sorted, distinct edge keys u*n + v, u < v,
+        taken as they are, unchecked."""
         g = object.__new__(Graph)
         vars(g).update(n=n, edge_arrays=_edge_arrays(n, keys))
         return g
@@ -256,7 +262,17 @@ class ConstructionSequence:
         return len(self.order)
 
     def validate(self):
-        """Raise ValidationError naming the first offending entry, if any."""
+        """Raise ValidationError naming the first offending entry, if any.
+
+        The whole sequence is checked with array operations; only a sequence
+        that fails them goes through the per-entry loop, which names the
+        fault."""
+        _attachments(self)
+
+    def _name_fault(self):
+        """The per-entry check: raise ValidationError naming the first
+        offending entry, if any.  Every id must be an integer: one that only
+        equals an integer, as 1.0 does, fails the last check."""
         k = self.k
         if k < 1:
             raise ValidationError("width k must be >= 1")
@@ -269,7 +285,7 @@ class ConstructionSequence:
                 if m != frozenset(prefix):
                     raise ValidationError(
                         f"entry {i}: initial-clique attachment must be the "
-                        f"{i} earlier initial vertices, got {sorted(m)}"
+                        f"{i} earlier initial vertices, got {_sorted_ids(m)}"
                     )
             else:
                 if len(m) != k:
@@ -277,13 +293,14 @@ class ConstructionSequence:
                         f"entry {i}: attachment set has size {len(m)}, expected {k}"
                     )
             if not m <= placed:
-                missing = sorted(m - placed)
+                missing = _sorted_ids(m - placed)
                 raise ValidationError(
                     f"entry {i}: attachment references unplaced vertices {missing}"
                 )
             placed.add(v)
             prefix.append(v)
-        if placed != set(range(self.n)):
+        ids = chain(placed, chain.from_iterable(m for _, m in self.order))
+        if placed != set(range(self.n)) or not all(hasattr(type(x), "__index__") for x in ids):
             raise ValidationError("vertex ids must be exactly 0..n-1")
 
     def initial_clique(self):
@@ -292,6 +309,14 @@ class ConstructionSequence:
     def attachment_map(self):
         """Per-vertex attachment set M_v (initial vertices get earlier initials)."""
         return {v: m for v, m in self.order}
+
+
+def _sorted_ids(ids):
+    """The ids sorted; ids that do not compare, as 1 and "a", by repr."""
+    try:
+        return sorted(ids)
+    except TypeError:
+        return sorted(ids, key=repr)
 
 
 @dataclass(frozen=True)
@@ -495,6 +520,8 @@ def _are_edges(n, eu, ev, a, b):
     """True iff every pair (a[i], b[i]) is an edge of the graph with the
     lexicographic edge arrays (eu, ev): a lookup in the sorted edge keys."""
     keys = eu.astype(np.int64) * n + ev
+    if not len(keys):
+        return not len(a)
     wanted = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
     at = np.searchsorted(keys, wanted)
     return np.array_equal(keys[np.minimum(at, len(keys) - 1)], wanted)
@@ -536,22 +563,62 @@ def _edge_pairs(edges):
     return np.array(flat, dtype=np.int64).reshape(-1, 2)
 
 
+def _attachments(seq):
+    """(vs, lens, flat) of a valid construction sequence: int64 arrays of
+    the vertex and the attachment-set size of every entry, and of every
+    attachment member, entry by entry in each set's iteration order.
+
+    The ids are read through operator.index, and the sequence is checked
+    with array operations: the vertices are a permutation of 0..n-1, entry
+    i's set has min(i, k) members, and every member lies in 0..n-1 and is
+    placed before the entry.  A set of i members placed before entry i < k
+    is the whole prefix, so these are the per-entry loop's conditions.  A
+    sequence that fails them goes to that loop (_name_fault), which names
+    its first bad entry.
+    """
+    order, k, n = seq.order, seq.k, seq.n
+    ids, members = operator.itemgetter(0), operator.itemgetter(1)
+    try:
+        vs = np.fromiter(map(operator.index, map(ids, order)), dtype=np.int64, count=n)
+        lens = np.fromiter(map(len, map(members, order)), dtype=np.int64, count=n)
+        flat = np.fromiter(map(operator.index, chain.from_iterable(map(members, order))),
+                           dtype=np.int64, count=int(lens.sum()))
+    except (TypeError, OverflowError):
+        valid = False
+    else:
+        entry = np.arange(n)
+        pos = np.full(n, -1)  # the entry of each vertex id
+        valid = k >= 1 and bool(((vs >= 0) & (vs < n)).all())
+        if valid:
+            pos[vs] = entry
+            valid = (bool((pos >= 0).all())
+                     and np.array_equal(lens, np.minimum(entry, min(k, n)))
+                     and bool(((flat >= 0) & (flat < n)).all())
+                     and bool((pos[flat] < np.repeat(entry, lens)).all()))
+    if not valid:
+        seq._name_fault()
+        raise RuntimeError("the array check rejected a sequence the per-entry loop accepts")
+    return vs, lens, flat
+
+
 def graph_from_construction(seq):
-    """Expand a construction sequence into the graph it builds."""
-    seq.validate()
-    pairs = chain.from_iterable((v, w) for v, m in seq.order for w in m)
-    return Graph.from_edges(seq.n, np.fromiter(pairs, dtype=np.int64).reshape(-1, 2))
+    """Expand a construction sequence into the graph it builds: an edge from
+    every vertex to each member of its attachment set.  Raises
+    ValidationError naming the first offending entry of an invalid one."""
+    vs, lens, flat = _attachments(seq)
+    v, n = np.repeat(vs, lens), seq.n
+    # each edge comes from its later end's entry alone, so the keys are distinct
+    return Graph._from_keys(n, np.sort(np.minimum(v, flat) * n + np.maximum(v, flat)))
 
 
 def is_ktree(seq, g):
-    """True iff every size-k attachment set induces a clique in g."""
-    for i, (v, m) in enumerate(seq.order):
-        if i < seq.k:
-            continue
-        for a, b in combinations(sorted(m), 2):
-            if not g.has_edge(a, b):
-                return False
-    return True
+    """True iff every size-k attachment set of the valid sequence seq
+    induces a clique in g: one lookup of the C(k, 2) pairs of every set."""
+    k = seq.k
+    _, lens, flat = _attachments(seq)
+    sets = flat[int(lens[:k].sum()):].reshape(-1, k)
+    a, b = np.triu_indices(k, 1)
+    return _are_edges(g.n, *g.edge_arrays, sets[:, a].ravel(), sets[:, b].ravel())
 
 
 def ksystem_from_construction(seq):
@@ -572,19 +639,30 @@ def _sequence_start(k, n):
 
 def gen_random_ktree(k, n, seed):
     """Grow a random k-tree: each new vertex attaches to a uniformly chosen
-    k-clique among those created so far (the initial clique, and for every
-    placed vertex v the k subsets of {v} u M_v containing v is replaced by
-    the standard clique-splitting list).  Deterministic given seed.
+    k-clique among those created so far.  Deterministic given seed.
+
+    The cliques are numbered as they are created.  Clique 0 is the initial
+    clique {0..k-1}, and clique i > 0 is (M_u - {w}) | {u}, where
+    u = k + (i-1)//k and w is member (i-1) % k of M_u in M_u's own iteration
+    order: attaching u to M_u creates these k cliques.  Vertex v draws its
+    index below 1 + (v-k)*k, the number created before it, and only the
+    picked cliques are built, so the generator keeps O(n*k) ids.  Later
+    draws read each attachment set's iteration order, so every set is built
+    by that same expression.
     """
     order = _sequence_start(k, n)
     rng = random.Random(("ktree", k, n, seed).__repr__())
-    cliques = [frozenset(range(k))]
-    for v in range(k, n):
-        m = rng.choice(cliques)
+    picks = [rng.randrange(c) for c in range(1, 1 + (n - k) * k, k)]
+    initial = frozenset(range(k))
+    for v, i in enumerate(picks, start=k):
+        if i:
+            q, j = divmod(i - 1, k)
+            u = k + q
+            m_u = order[u][1]
+            m = (m_u - {tuple(m_u)[j]}) | {u}
+        else:
+            m = initial
         order.append((v, m))
-        # attaching to m creates k fresh k-cliques inside the new (k+1)-clique
-        for w in m:
-            cliques.append((m - {w}) | {v})
     return ConstructionSequence(k, tuple(order))
 
 

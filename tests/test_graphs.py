@@ -4,12 +4,13 @@ import io
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stopcc import activation, graphs
 from stopcc.errors import ParameterError, ResourceLimitError, ValidationError
@@ -411,6 +412,127 @@ def test_random_kdegenerate_usually_not_a_ktree():
         assert g.edge_count == 2 * 30 - 3
         hits += graphs.is_ktree(seq, g)
     assert hits <= 2
+
+
+def _reference_random_ktree(k, n, seed):
+    """The clique-list generator that gen_random_ktree replaced: it keeps
+    every clique created so far and picks one with choice."""
+    order = [(i, frozenset(range(i))) for i in range(k)]
+    rng = random.Random(("ktree", k, n, seed).__repr__())
+    cliques = [frozenset(range(k))]
+    for v in range(k, n):
+        m = rng.choice(cliques)
+        order.append((v, m))
+        for w in m:
+            cliques.append((m - {w}) | {v})
+    return ConstructionSequence(k, tuple(order))
+
+
+def test_random_ktree_draws_what_the_clique_list_drew():
+    cases = [(k, n, seed) for k in range(1, 6) for n in range(k, 201) for seed in range(10)]
+    # the size of the greedy_ktree benchmark's 2-tree
+    cases += [(2, 10**4, seed) for seed in range(4)]
+    for case in cases:
+        seq, ref = graphs.gen_random_ktree(*case), _reference_random_ktree(*case)
+        assert seq.order == ref.order, case
+        # later draws read the sets' iteration order, so it is pinned too
+        assert [tuple(m) for _, m in seq.order] == [tuple(m) for _, m in ref.order], case
+
+
+def test_random_ktree_memory_is_linear_in_n_times_k():
+    # the clique list held (n - k) * k sets of k ids: a 76.5 MiB peak here,
+    # against 13.4 MiB for the n sets of the sequence alone
+    tracemalloc.start()
+    try:
+        graphs.gen_random_ktree(8, 20000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _reference_is_ktree(seq, g):
+    """The pair-by-pair check that is_ktree replaced."""
+    return all(g.has_edge(a, b) for _, m in seq.order[seq.k:]
+               for a, b in itertools.combinations(sorted(m), 2))
+
+
+def test_is_ktree_matches_the_pairwise_check():
+    answers = []
+    for k in range(1, 5):
+        for n in (k, k + 1, 8, 30):
+            for seed in range(5):
+                for make in (graphs.gen_random_ktree, graphs.gen_random_kdegenerate):
+                    seq = make(k, n, seed)
+                    for g in (graphs.graph_from_construction(seq), Graph.from_edges(n, [])):
+                        answers.append(graphs.is_ktree(seq, g))
+                        assert answers[-1] == _reference_is_ktree(seq, g), (make, k, n, seed)
+    assert True in answers and False in answers
+
+
+# ids the array check must not read as vertices: out of int64, negative,
+# not integers, or only equal to one
+_BAD_IDS = (-1, 2**70, -2**70, 1.5, 1.0, "a")
+
+
+def _as_float(x):
+    return float(x) if isinstance(x, int) else x
+
+
+@st.composite
+def _faulty_sequences(draw):
+    """A random k-tree or k-degenerate sequence, its ids permuted, with up to
+    three faults: a vertex id replaced, a member added, dropped or replaced,
+    two entries swapped, an entry's ids made floats, or another width."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 10))
+    make = draw(st.sampled_from((graphs.gen_random_ktree, graphs.gen_random_kdegenerate)))
+    label = draw(st.permutations(range(n)))
+    order = [[label[v], {label[w] for w in m}]
+             for v, m in make(k, n, draw(st.integers(0, 99))).order]
+    ids = st.sampled_from((*range(-1, n + 2), *_BAD_IDS))
+    for _ in range(draw(st.integers(0, 3))):
+        entry = order[draw(st.integers(0, n - 1))]
+        fault = draw(st.sampled_from(
+            ("vertex", "add", "drop", "replace", "swap", "float", "width")))
+        if fault == "vertex":
+            entry[0] = draw(ids)
+        if fault in ("drop", "replace") and entry[1]:
+            entry[1].discard(draw(st.sampled_from(sorted(entry[1], key=repr))))
+        if fault in ("add", "replace"):
+            entry[1].add(draw(ids))
+        if fault == "swap":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            order[i], order[j] = order[j], order[i]
+        if fault == "float":
+            entry[:] = _as_float(entry[0]), set(map(_as_float, entry[1]))
+        if fault == "width":
+            k = draw(st.integers(0, 5))
+    return ConstructionSequence(k, tuple(order))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_faulty_sequences())
+# ids that only equal an integer, and ids that do not compare
+@example(ConstructionSequence(1, ((0, ()), (1.0, (0,)))))
+@example(ConstructionSequence(2, ((0, ()), (1, (0,)), (2, ("a", 5)))))
+def test_array_check_agrees_with_the_per_entry_loop(seq):
+    try:
+        seq._name_fault()
+    except ValidationError as e:
+        expected = str(e)
+    else:
+        expected = None
+    for check in (seq.validate, lambda: graphs.graph_from_construction(seq)):
+        if expected is None:
+            check()
+        else:
+            with pytest.raises(ValidationError) as got:
+                check()
+            assert str(got.value) == expected
+    if expected is None:
+        pairs = [(v, w) for v, m in seq.order for w in m]
+        assert graphs.graph_from_construction(seq) == Graph.from_edges(seq.n, pairs)
 
 
 def test_family_path_star_kstar():
