@@ -14,10 +14,11 @@ form a clique, as in a path, a star or a k-tree numbered in construction
 order), from the witness identity CC(S) = #{v in S: no lower-id neighbour of
 v in S}; one per edge on a forest; and otherwise from a minimum spanning
 forest of the edge times (graphs.spanning_forest, Borůvka's rounds in
-NumPy).  component_count, the count of one prefix, reads the same kernel,
-except on a forest whose ids do not eliminate: there it counts the prefix's
-vertices whose parent in Graph.forest_parent is outside the prefix, in
-O(len(prefix)).
+NumPy).  component_count, the count of one prefix, needs no merge times: it
+reads the witness branch when the ids eliminate; on any other forest it
+counts the prefix's vertices whose parent in Graph.forest_parent is outside
+the prefix, in O(len(prefix)); and otherwise it hooks the prefix's induced
+subgraph by graphs.component_roots.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .graphs import spanning_forest
+from .graphs import component_roots, spanning_forest
 
 # beyond this size we stop maintaining the active-set bitmask (only the
 # subset DP consumes it, and it is capped far below)
@@ -307,18 +308,26 @@ def component_count(graph, prefix):
     """Component count of the vertices of prefix: the last entry of
     component_count_trace(graph, prefix), without the rest of the trace.
 
-    When the ids eliminate, or the graph is no forest, the kernel gives it.
-    On any other forest each edge inside the prefix joins a vertex to its
-    parent, so the count is t minus the prefix vertices whose parent is in
-    the prefix: O(len(prefix)) gathers into a zeroed membership array, after
-    the one orientation per graph."""
+    When the ids eliminate, the kernel's witness branch gives it.  Otherwise
+    the prefix is marked in a zeroed membership array.  On a forest each
+    edge inside the prefix joins a vertex to its parent, so the count is t
+    minus the prefix vertices whose parent is in the prefix: O(len(prefix))
+    gathers, after the one orientation per graph.  On any other graph the
+    edges with both ends in the prefix go to graphs.component_roots, and
+    the count is t minus the vertices it hooked below themselves."""
     t = len(prefix)
-    if not graph.ids_eliminate and graph.is_forest():
-        prefix = np.asarray(prefix, dtype=np.intp)
-        inside = np.zeros(graph.n + 1, dtype=bool)  # slot n: the roots' parent
-        inside[prefix] = True
+    if graph.ids_eliminate:
+        return t - int(np.count_nonzero(_merge_times(graph, prefix) <= t))
+    prefix = np.asarray(prefix, dtype=np.intp)
+    inside = np.zeros(graph.n + 1, dtype=bool)  # slot n: a forest root's parent
+    inside[prefix] = True
+    if graph.is_forest():
         return t - int(np.count_nonzero(inside[graph.forest_parent[prefix]]))
-    return t - int(np.count_nonzero(_merge_times(graph, prefix) <= t))
+    eu, ev = graph.edge_arrays
+    both = inside.take(eu)
+    both &= inside.take(ev)
+    root = component_roots(graph.n, eu.compress(both), ev.compress(both))
+    return t - int(np.count_nonzero(root != np.arange(graph.n)))
 
 
 def nbr_sum_trace(graph, sigma):

@@ -129,14 +129,8 @@ class Graph:
     @cached_property
     def _component_labels(self):
         # the components numbered in the order of their lowest vertices
-        n = self.n
-        eu, ev = self.edge_arrays
-        _, merged_into = spanning_forest(n, eu, ev, np.zeros(len(eu), dtype=np.int64))
-        root = _roots(merged_into)
-        lowest = np.full(n, n)
-        np.minimum.at(lowest, root, np.arange(n))
-        lowest = lowest[root]
-        return (np.cumsum(lowest == np.arange(n)) - 1)[lowest]
+        root = component_roots(self.n, *self.edge_arrays)
+        return (np.cumsum(root == np.arange(self.n)) - 1)[root]
 
     @cached_property
     def _component_count(self):
@@ -267,7 +261,16 @@ class ConstructionSequence:
         The whole sequence is checked with array operations; only a sequence
         that fails them goes through the per-entry loop, which names the
         fault."""
-        _attachments(self)
+        self._attachment_arrays
+
+    @cached_property
+    def _attachment_arrays(self):
+        # checked once per sequence: validate, graph_from_construction and
+        # is_ktree share the pass; a sequence that fails raises on every use
+        arrays = _attachments(self)
+        for x in arrays:
+            x.flags.writeable = False  # shared by every caller
+        return arrays
 
     def _name_fault(self):
         """The per-entry check: raise ValidationError naming the first
@@ -463,12 +466,37 @@ def spanning_forest(n, u, v, weights):
     return (np.concatenate(picked) if picked else weights), merged_into
 
 
+def component_roots(n, u, v):
+    """The lowest vertex of every vertex's component in the graph on
+    vertices 0..n-1 with the edges (u[i], v[i]): an int32 array.
+
+    Min-label hooking with pointer jumping (Shiloach & Vishkin, J.
+    Algorithms 3 (1982) 57), unweighted.  Each round hooks every root onto
+    its lowest neighbouring root, when that is lower, jumps every pointer
+    to its root, and drops the edges that now lie inside one root.
+    Pointers only go to lower ids, so a root is the lowest vertex of what
+    it holds.  Every root that is not a local minimum hooks, and so does,
+    one round later, a local minimum that nothing hooked onto: every two
+    rounds at least halve the roots that still have an edge.
+    """
+    ptr = np.arange(n, dtype=np.int32)
+    a, b = u, v
+    while len(a):
+        np.minimum.at(ptr, np.maximum(a, b), np.minimum(a, b))
+        ptr = _roots(ptr)
+        # array methods: the np.take and np.compress wrappers add about 2 µs a call
+        a, b = ptr.take(a), ptr.take(b)
+        apart = a != b
+        a, b = a.compress(apart), b.compress(apart)
+    return ptr
+
+
 def _roots(ptr):
     """The root of every entry of the pointer forest ptr (ptr[r] == r at a
     root), by pointer jumping: O(log depth) gathers."""
     while True:
-        jumped = ptr[ptr]
-        if np.array_equal(jumped, ptr):
+        jumped = ptr.take(ptr)
+        if (jumped == ptr).all():
             return ptr
         ptr = jumped
 
@@ -605,7 +633,7 @@ def graph_from_construction(seq):
     """Expand a construction sequence into the graph it builds: an edge from
     every vertex to each member of its attachment set.  Raises
     ValidationError naming the first offending entry of an invalid one."""
-    vs, lens, flat = _attachments(seq)
+    vs, lens, flat = seq._attachment_arrays
     v, n = np.repeat(vs, lens), seq.n
     # each edge comes from its later end's entry alone, so the keys are distinct
     return Graph._from_keys(n, np.sort(np.minimum(v, flat) * n + np.maximum(v, flat)))
@@ -615,7 +643,7 @@ def is_ktree(seq, g):
     """True iff every size-k attachment set of the valid sequence seq
     induces a clique in g: one lookup of the C(k, 2) pairs of every set."""
     k = seq.k
-    _, lens, flat = _attachments(seq)
+    _, lens, flat = seq._attachment_arrays
     sets = flat[int(lens[:k].sum()):].reshape(-1, k)
     a, b = np.triu_indices(k, 1)
     return _are_edges(g.n, *g.edge_arrays, sets[:, a].ravel(), sets[:, b].ravel())

@@ -280,10 +280,14 @@ def test_kernel_matches_a_scipy_recount_on_both_labellings(case):
     g, relabelled, sigma, l = case
     # construction-order ids are an elimination order; random ones seldom are
     assert relabelled or g.ids_eliminate
-    spy = mock.patch.object(activation, "spanning_forest", wraps=activation.spanning_forest)
-    with spy as forest:
-        trace = component_count_trace(g, sigma)
+    def spy():
+        return mock.patch.object(activation, "spanning_forest", wraps=activation.spanning_forest)
+    with spy() as forest:
         counts = [component_count(g, sigma[:t]) for t in range(g.n + 1)]
+    # a prefix count needs no merge times
+    assert not forest.called
+    with spy() as forest:
+        trace = component_count_trace(g, sigma)
         prefix = component_count_trace(g, sigma[:l])
     expected = [_scipy_recount(g, sigma[:t]) for t in range(g.n + 1)]
     assert trace == counts == expected
@@ -293,6 +297,29 @@ def test_kernel_matches_a_scipy_recount_on_both_labellings(case):
     assert forest.called == (not g.is_forest() and not g.ids_eliminate)
     # and only the other forests' prefix counts read an orientation
     assert ("forest_parent" in vars(g)) == (g.is_forest() and not g.ids_eliminate)
+
+
+def test_prefix_counts_of_large_non_chordal_graphs_match_a_scipy_recount():
+    # relabelled ids, so neither the witness branch nor a forest serves them
+    rng = np.random.default_rng(28)
+    side, n = 60, 3600
+    grid = [(v, v + 1) for v in range(n) if v % side < side - 1] + \
+        [(v, v + side) for v in range(n - side)]
+    cases = [(n, grid), (5000, [(v, (v + 1) % 5000) for v in range(5000)])]
+    for m in (3000, 6000):  # random graphs of average degree 1.5 and 3
+        pairs = rng.integers(0, 4000, size=(m, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        cases.append((4000, np.unique(np.sort(pairs, axis=1), axis=0)))
+    for n, edges in cases:
+        label = rng.permutation(n)
+        g = Graph.from_edges(n, label[np.asarray(edges)])
+        assert not g.ids_eliminate and not g.is_forest()
+        sigma = rng.permutation(n)
+        with mock.patch.object(activation, "component_roots",
+                               wraps=activation.component_roots) as hooked:
+            for t in (0, 1, n // 10, n // 3, n // 2, 2 * n // 3, n - 1, n):
+                assert component_count(g, sigma[:t]) == _scipy_recount(g, sigma[:t]), (n, t)
+        assert hooked.call_count == 8
 
 
 def test_eliminating_ids_never_ask_for_the_component_count():

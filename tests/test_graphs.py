@@ -3,6 +3,7 @@
 import io
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -311,6 +312,33 @@ def test_spanning_forest_rounds_are_logarithmic():
     # the keys weight * m + index must fit int64
     with pytest.raises(ResourceLimitError, match="keys of 2 edges overflow"):
         graphs.spanning_forest(3, np.array([0, 1]), np.array([1, 2]), [2**62, 0])
+
+
+def test_component_roots_rounds_are_logarithmic():
+    # every round, each root that is not a local minimum hooks, and a local
+    # minimum that nothing hooked onto hooks in the next round; _roots runs
+    # once per round, and every vertex's root is 0, the lowest vertex
+    n, side = 10**4, 100
+    path = [(v - 1, v) for v in range(1, n)]
+    grid = [(v, v + 1) for v in range(n) if v % side < side - 1] + \
+        [(v, v + side) for v in range(n - side)]
+    cases = {
+        "relabelled path": _relabel(Graph.from_edges(n, path), random.Random(5)),
+        "ascending path": Graph.from_edges(n, path),
+        "star at 0": Graph.from_edges(n, [(0, v) for v in range(1, n)]),
+        "star at n-1": Graph.from_edges(n, [(v, n - 1) for v in range(n - 1)]),
+        "grid": Graph.from_edges(n, grid),
+        "relabelled grid": _relabel(Graph.from_edges(n, grid), random.Random(6)),
+    }
+    for name, g in cases.items():
+        with mock.patch.object(graphs, "_roots", wraps=graphs._roots) as rounds:
+            root = graphs.component_roots(n, *g.edge_arrays)
+        assert root.dtype == np.int32 and not root.any(), name
+        assert 1 <= rounds.call_count <= math.ceil(math.log2(n)) + 1, name
+    # no edge, no round
+    with mock.patch.object(graphs, "_roots", wraps=graphs._roots) as rounds:
+        root = graphs.component_roots(3, np.array([], dtype=np.int32), np.array([], dtype=np.int32))
+    assert root.tolist() == [0, 1, 2] and not rounds.called
 
 
 def _sample_k2_sequence():
@@ -699,6 +727,15 @@ def test_sequence_file_roundtrip():
     graphs.write_sequence(seq, buf)
     back = graphs.read_sequence(io.StringIO(buf.getvalue()))
     assert back == seq
+    # read_sequence checked it once: expanding it and testing its sets read
+    # the checked arrays, with no second pass over the ids
+    with mock.patch.object(graphs, "operator", wraps=operator) as ids:
+        g = graphs.graph_from_construction(back)
+        assert graphs.is_ktree(back, g)
+        back.validate()
+    assert ids.mock_calls == []
+    assert g == graphs.graph_from_construction(seq)
+    assert not any(x.flags.writeable for x in back._attachment_arrays)
 
 
 def test_file_parse_errors_carry_line_numbers():
