@@ -274,8 +274,8 @@ def _merge_times(graph, sigma):
     np.maximum(times, arrival[ev], out=times)
     if not graph.is_forest():
         present = times <= t
-        picked, _ = spanning_forest(graph.n, eu[present], ev[present], times[present])
-        times = picked.astype(np.int32)
+        times = spanning_forest(
+            graph.n, eu[present], ev[present], times[present]).astype(np.int32)
     return times
 
 

@@ -261,8 +261,13 @@ def cmd_run(args):
             }
         )
     else:  # mc
-        for text, spec in zip(args.strategy, specs):
-            est = montecarlo.estimate_strategy(g, seq, spec, cfg)
+        # one estimate scores every rule on the same draws; its per-rule
+        # Estimates equal estimate_strategy's
+        if len(specs) == 1:
+            estimates = [montecarlo.estimate_strategy(g, seq, specs[0], cfg)]
+        else:
+            estimates, _ = montecarlo.compare_strategies(g, seq, specs, cfg)
+        for text, est in zip(args.strategy, estimates):
             results.append({"strategy": text, "mode": "mc", **_estimate_fields(est)})
     report = {
         "instance": descriptor,

@@ -7,6 +7,7 @@ attachment set is a clique the sequence certifies a k-tree.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import operator
@@ -412,14 +413,10 @@ def _edge_arrays(n, keys):
 
 
 def spanning_forest(n, u, v, weights):
-    """A minimum spanning forest of the graph on vertices 0..n-1 with the
-    edges (u[i], v[i]) of nonnegative integer weights[i], by Borůvka's
-    rounds: (picked, merged_into).
-
-    picked holds the int64 weights of the forest's edges, in no set order;
-    every minimum spanning forest has these weights.  merged_into points
-    each vertex at the one it was merged into, at most one pointer per
-    round deep; _roots(merged_into) gives one root vertex per component.
+    """The int64 weights of a minimum spanning forest of the graph on
+    vertices 0..n-1 with the edges (u[i], v[i]) of nonnegative integer
+    weights[i], by Borůvka's rounds, in no set order; every minimum spanning
+    forest has these weights.
 
     Edges are compared by the keys weight*m + edge index, which are
     distinct; each round numbers its m edges in input order, so the order
@@ -432,18 +429,16 @@ def spanning_forest(n, u, v, weights):
     weights = np.asarray(weights, dtype=np.int64)
     if m and (int(weights.max()) + 1) * m > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"spanning forest keys of {m} edges overflow int64")
-    merged_into = np.arange(n)
     picked = []
     a, b = u, v
-    vertex = np.arange(n)  # compact id -> its representative vertex
+    c = n  # ids in use: 0..c-1
     while len(a):
         # compact the endpoints to 0..c-1, in the order of their ids
-        touched = np.zeros(len(vertex), dtype=bool)
+        touched = np.zeros(c, dtype=bool)
         touched[a] = touched[b] = True
-        vertex = vertex[touched]
         compact = np.cumsum(touched) - 1
         a, b = compact[a], compact[b]
-        c, m = len(vertex), len(a)
+        c, m = int(compact[-1]) + 1, len(a)
         keys = weights * m
         keys += np.arange(m)
         lightest = np.full(c, np.iinfo(np.int64).max)
@@ -459,11 +454,10 @@ def spanning_forest(n, u, v, weights):
         ptr[root] = comp[root]
         picked.append(weights[edge[~root]])
         ptr = _roots(ptr)
-        merged_into[vertex] = vertex[ptr]
         a, b = ptr[a], ptr[b]
         keep = a != b
         a, b, weights = a[keep], b[keep], weights[keep]
-    return (np.concatenate(picked) if picked else weights), merged_into
+    return np.concatenate(picked) if picked else weights
 
 
 def component_roots(n, u, v):
@@ -677,21 +671,31 @@ def gen_random_ktree(k, n, seed):
     picked cliques are built, so the generator keeps O(n*k) ids.  Later
     draws read each attachment set's iteration order, so every set is built
     by that same expression.
+
+    The cyclic garbage collector is paused while the 2n sets and tuples are
+    built, as none of them can form a cycle, and put back as the caller had
+    it.
     """
-    order = _sequence_start(k, n)
-    rng = random.Random(("ktree", k, n, seed).__repr__())
-    picks = [rng.randrange(c) for c in range(1, 1 + (n - k) * k, k)]
-    initial = frozenset(range(k))
-    for v, i in enumerate(picks, start=k):
-        if i:
-            q, j = divmod(i - 1, k)
-            u = k + q
-            m_u = order[u][1]
-            m = (m_u - {tuple(m_u)[j]}) | {u}
-        else:
-            m = initial
-        order.append((v, m))
-    return ConstructionSequence(k, tuple(order))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        order = _sequence_start(k, n)
+        rng = random.Random(("ktree", k, n, seed).__repr__())
+        picks = [rng.randrange(c) for c in range(1, 1 + (n - k) * k, k)]
+        initial = frozenset(range(k))
+        for v, i in enumerate(picks, start=k):
+            if i:
+                q, j = divmod(i - 1, k)
+                u = k + q
+                m_u = order[u][1]
+                m = (m_u - {tuple(m_u)[j]}) | {u}
+            else:
+                m = initial
+            order.append((v, m))
+        return ConstructionSequence(k, tuple(order))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def gen_random_kdegenerate(k, n, seed):

@@ -3,8 +3,9 @@
 Replication i draws its permutation from an independent substream keyed by
 (master seed, i) via numpy's SeedSequence and runs in index order on one
 thread, so results are bit-identical for a given seed and replication count.
-Rules are scored by strategies.run_strategy, tails by activation.component_count
-and the blind scan by activation.merge_counts.
+Rules are scored by strategies.order_scorer, every rule of an estimate on
+each order at once; tails by activation.component_count and the blind scan
+by activation.merge_counts.
 """
 
 from __future__ import annotations
@@ -98,8 +99,10 @@ def _permutations(cfg, n):
 
 def _scores(graph, seq, specs, cfg):
     """The common-random-number score table: row s holds the scores of
-    specs[s], column i those of the one permutation of replication i."""
-    return np.array([[strategies.run_strategy(graph, seq, spec, sigma)[1] for spec in specs]
+    specs[s], column i those of the one permutation of replication i, which
+    one call of the shared scorer checks and scores under every rule."""
+    score = strategies.order_scorer(graph, seq, specs)
+    return np.array([[count for _, count in score(sigma)]
                      for sigma in _permutations(cfg, graph.n)], dtype=np.float64).T
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .activation import (_MASK_CAP, ActivationState, check_permutation, component_count,
-                         nbr_sum_trace)
+                         counts_from_merges, merge_counts, nbr_sum_trace)
 from .errors import ParameterError, UsageError, ValidationError
 
 CONTINUE = "continue"
@@ -205,8 +205,17 @@ def stop_flags(spec, n, seq=None):
     if spec.kind == "dp_optimal":
         stop = _dp_table(spec, n).stop
         return lambda masks, t, margin: stop[masks]
-    # the stop times with no trigger active and with one active; like decide,
-    # position_stop_time reads the trigger set only when two-phase asks
+    early, late, trigger = _position_stops(spec, n, seq)
+    trigger_mask = sum(1 << v for v in trigger)
+    return lambda masks, t, margin: (masks & trigger_mask == 0) & (t >= early) | (t >= late)
+
+
+def _position_stops(spec, n, seq):
+    """(early, late, trigger): a rule's position_stop_time with no trigger
+    active and with one active, and the trigger set it read, empty unless
+    two-phase asked; like decide, position_stop_time reads the trigger set
+    only when two-phase asks.  early and late are None for greedy and dp at
+    n > 1."""
     trigger = set()
 
     def triggered(a):
@@ -214,42 +223,108 @@ def stop_flags(spec, n, seq=None):
         return True
 
     early = position_stop_time(spec, n, lambda a: False)
-    late = position_stop_time(spec, n, triggered)
-    trigger_mask = sum(1 << v for v in trigger)
-    return lambda masks, t, margin: (masks & trigger_mask == 0) & (t >= early) | (t >= late)
+    return early, position_stop_time(spec, n, triggered), trigger
 
 
-def run_strategy(graph, seq, spec, sigma):
-    """Score one order: returns (stop_time, component count at stop).
+def order_scorer(graph, seq, specs):
+    """Score orders of graph under every rule of specs at once: returns
+    score(sigma), which checks the order sigma and gives the list of each
+    rule's (stop_time, component count at stop), in the order of specs.
 
-    Position rules stop at position_stop_time; dp, and greedy on a chordal
-    graph, at the first flag of stop_flags over the order's sets at
-    t = 1..n-1 (prefix masks, or nbr_sum_trace margins); all read the count
-    from the arrival-time kernel.  Greedy on other graphs steps the engine.
+    The rules' stop helpers are built on the first call, after its order is
+    checked, and serve every later order.  Position rules stop at
+    position_stop_time; dp, and greedy on a chordal graph, at the first flag
+    of stop_flags over the order's sets at t = 1..n-1, the prefix masks for
+    dp and the margins of one nbr_sum_trace for greedy, each computed once
+    per order for all the rules that read them.  Greedy on other graphs
+    steps one ActivationState for all such rules, which reads their counts.
+    The other counts come from one merge_counts of the longest stopping
+    prefix when those rules stop at more than one time and the graph's ids
+    eliminate, where component_count would run the same kernel on each
+    prefix; otherwise from component_count on each stopping prefix, O(prefix)
+    on a forest.
     """
-    sigma = check_permutation(sigma, graph.n)
-    if seq is not None and seq.n != graph.n:
-        raise ValidationError("sequence and graph disagree on vertex count")
     n = graph.n
-    t = position_stop_time(
-        spec, n, lambda a: np.isin(sigma[:a], list(_trigger_set(spec, seq, n))).any()
-    )
-    if t is None and (spec.kind == "dp_optimal" or graph.elimination_arcs is not None):
-        flags = stop_flags(spec, n, seq)
-        steps = np.arange(1, n)
-        if spec.kind == "dp_optimal":
-            stops = flags(np.cumsum(np.left_shift(1, sigma[:-1], dtype=np.int64)), steps, None)
+    steps = np.arange(1, n)
+    rules = None
+
+    def prepare():
+        if seq is not None and seq.n != n:
+            raise ValidationError("sequence and graph disagree on vertex count")
+        prepared = []
+        for spec in specs:
+            early, late, trigger = _position_stops(spec, n, seq)
+            if early is not None:
+                trigger = np.array(list(trigger), dtype=np.intp)
+                prepared.append(("position", (early, late, trigger)))
+            elif spec.kind == "dp_optimal" or graph.elimination_arcs is not None:
+                prepared.append((spec.kind, stop_flags(spec, n, seq)))
+            else:
+                prepared.append(("engine", spec))
+        return prepared
+
+    def score(sigma):
+        nonlocal rules
+        sigma = check_permutation(sigma, n)
+        if rules is None:
+            rules = prepare()
+        kinds = {kind for kind, _ in rules}
+        masks = margin = None
+        if "dp_optimal" in kinds:
+            masks = np.cumsum(np.left_shift(1, sigma[:-1], dtype=np.int64))
+        if "greedy_gain" in kinds:
+            margin = n - steps - nbr_sum_trace(graph, sigma)[1:n]
+        times = {}  # stop time -> the rules whose count the kernel gives there
+        engine = []
+        for i, (kind, rule) in enumerate(rules):
+            if kind == "position":
+                early, late, trigger = rule
+                t = late if late != early and np.isin(sigma[:early], trigger).any() else early
+            elif kind == "engine":
+                engine.append(i)
+                continue
+            else:
+                stops = rule(masks, steps, margin)
+                t = int(stops.argmax()) + 1 if stops.any() else n
+            times.setdefault(t, []).append(i)
+        if len(times) > 1 and graph.ids_eliminate:
+            counts = counts_from_merges(merge_counts(graph, sigma[:max(times)]))
         else:
-            stops = flags(None, steps, n - steps - nbr_sum_trace(graph, sigma)[1:n])
-        t = int(stops.argmax()) + 1 if stops.any() else n
-    if t is not None:
-        return t, component_count(graph, sigma[:t])
+            counts = {t: component_count(graph, sigma[:t]) for t in times}
+        scores = [None] * len(rules)
+        for t, ids in times.items():
+            for i in ids:
+                scores[i] = t, int(counts[t])
+        if engine:
+            for i, played in zip(engine, _play(graph, sigma, [rules[i][1] for i in engine])):
+                scores[i] = played
+        return scores
+
+    return score
+
+
+def _play(graph, sigma, specs):
+    """(stop_time, count) of each greedy rule of specs on sigma, from one
+    ActivationState stepped until all have stopped.  Where a strict rule
+    continues the other does too, so the rules wait strict first and each
+    step tests only the first of them."""
+    n = graph.n
+    waiting = sorted(range(len(specs)), key=lambda i: not specs[i].strict_gain)
+    scores = [None] * len(specs)
     state = ActivationState(graph)
     for t, v in enumerate(sigma.tolist(), start=1):
         state.activate(v)
-        if t == n or not _greedy_continues(spec, n - t - state.nbr_sum):
-            break
-    return t, state.cc
+        margin = n - t - state.nbr_sum
+        while waiting and (t == n or not _greedy_continues(specs[waiting[0]], margin)):
+            scores[waiting.pop(0)] = t, state.cc
+        if not waiting:
+            return scores
+
+
+def run_strategy(graph, seq, spec, sigma):
+    """Score one order under one rule: returns (stop_time, component count
+    at stop).  The one-rule call of order_scorer."""
+    return order_scorer(graph, seq, [spec])(sigma)[0]
 
 
 def blind_optimal_threshold(kind, n, k=None):

@@ -299,6 +299,49 @@ def test_run_mc_mode_is_deterministic(tmp_path, capsys):
     assert {r["strategy"] for r in r1["results"]} == {"greedy", "blind:alpha=1/3"}
 
 
+def test_run_mc_rules_estimated_together_match_one_rule_runs(capsys):
+    # several rules share one estimate: each rule's result is byte for byte
+    # that of a run with the rule alone
+    cases = (
+        (["--ktree", "2", "--n", "40", "--seed", "3"],
+         ["greedy", "greedy:strict", "blind:alpha=1/3",
+          "twophase:alpha=1/3,gamma=1/2,trigger=initial_clique"]),
+        (["--family", "grid", "--d", "2", "--side", "3"], ["greedy", "blind:l=4", "dp"]),
+    )
+
+    def report(instance, rules):
+        argv = ["run", *instance, "--mode", "mc", "--reps", "60", "--seed", "8"]
+        code, out, _ = _run(capsys, *argv, *(f for rule in rules for f in ("--strategy", rule)))
+        assert code == 0, rules
+        report = json.loads(out)
+        del report["wall_clock_s"], report["strategies"]
+        return report
+
+    for instance, rules in cases:
+        together = report(instance, rules)
+        results = together.pop("results")
+        assert [r["strategy"] for r in results] == rules
+        for rule, result in zip(rules, results):
+            alone = report(instance, [rule])
+            assert json.dumps(alone.pop("results")) == json.dumps([result]), rule
+            assert alone == together, rule
+
+
+def test_run_mc_draws_checks_and_traces_each_replication_once(capsys):
+    reps = 7
+    draw = mock.patch.object(montecarlo, "replication_permutation",
+                             wraps=montecarlo.replication_permutation)
+    check = mock.patch.object(strategies, "check_permutation",
+                              wraps=strategies.check_permutation)
+    trace = mock.patch.object(strategies, "nbr_sum_trace", wraps=strategies.nbr_sum_trace)
+    with draw as draws, check as checks, trace as traces:
+        code, _, _ = _run(capsys, "run", "--ktree", "2", "--n", "50", "--mode", "mc",
+                          "--strategy", "greedy", "--strategy", "greedy:strict",
+                          "--reps", str(reps))
+    assert code == 0
+    assert (draws.call_count, checks.call_count, traces.call_count) == (reps, reps, reps)
+
+
 def test_mc_dp_estimate_does_not_depend_on_the_tier(capsys):
     # for n <= DP_EXACT_CAP run binds the exact tier; its stop flags, all
     # that Monte Carlo reads, equal those of the float tier

@@ -1,5 +1,6 @@
 """Data types, generators, families, and file formats."""
 
+import gc
 import io
 import itertools
 import math
@@ -282,7 +283,7 @@ def test_spanning_forest_labels_and_rooting_match_scipy():
         adjacency = csr_matrix((np.ones(len(eu)), (eu, ev)), shape=(n, n))
         count, labels = connected_components(adjacency, directed=False)
         assert g._component_labels.tolist() == labels.tolist(), g
-        picked, _ = graphs.spanning_forest(n, eu, ev, weights)
+        picked = graphs.spanning_forest(n, eu, ev, weights)
         mst = minimum_spanning_tree(csr_matrix((weights, (eu, ev)), shape=(n, n)))
         assert sorted(picked.tolist()) == sorted(mst.data.tolist()), g
         assert g.is_forest() == (g.edge_count == n - count)
@@ -306,7 +307,7 @@ def test_spanning_forest_rounds_are_logarithmic():
     path = _relabel(Graph.from_edges(n, [(v - 1, v) for v in range(1, n)]), random.Random(4))
     eu, ev = path.edge_arrays
     with mock.patch.object(graphs, "_roots", wraps=graphs._roots) as rounds:
-        picked, _ = graphs.spanning_forest(n, eu, ev, np.zeros(n - 1, dtype=np.int64))
+        picked = graphs.spanning_forest(n, eu, ev, np.zeros(n - 1, dtype=np.int64))
     assert len(picked) == n - 1
     assert 1 <= rounds.call_count <= math.ceil(math.log2(n)) + 1
     # the keys weight * m + index must fit int64
@@ -477,6 +478,32 @@ def test_random_ktree_memory_is_linear_in_n_times_k():
     finally:
         tracemalloc.stop()
     assert peak < 25 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_random_ktree_puts_back_the_callers_collector_state():
+    # the generator pauses the cyclic collector while it builds; afterwards
+    # gc.isenabled() is what it was, after a normal call, after a call that
+    # raises, and when the caller had the collector off
+    collecting = []
+
+    def build(k, order):
+        collecting.append(gc.isenabled())
+        return ConstructionSequence(k, order)
+
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with mock.patch.object(graphs, "ConstructionSequence", build):
+                seq = graphs.gen_random_ktree(2, 50, 1)
+            assert seq == graphs.gen_random_ktree(2, 50, 1)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ParameterError, match="k must be >= 1"):
+                graphs.gen_random_ktree(0, 5, 1)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert collecting == [False, False]
 
 
 def _reference_is_ktree(seq, g):

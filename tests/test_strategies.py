@@ -326,14 +326,21 @@ def test_run_strategy_position_rules_match_per_step_rule():
         _path(n),
         Graph.from_edges(n, [(0, v) for v in range(1, n)]),
         Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)]),
+        Graph.from_edges(n, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]),  # 2x3 grid
+        Graph.from_edges(n, [(0, 2), (1, 2), (1, 3), (4, 5)]),  # a forest whose ids do not eliminate
         Graph.from_edges(n, []),
         Graph.from_edges(0, []),
     ]
     for g in instances:
         seq = path_seq if g.n == n else None  # n = 0 never reads a trigger
+        # the cycle and the grid, not chordal, step the engine for greedy
+        rules = specs + [dp_optimal(exact.solve_dp(g))]
+        # the shared scorer, built once per graph, scores every rule at once
+        score = strategies.order_scorer(g, seq, rules)
         for sigma in itertools.permutations(range(g.n)):
-            scores = [run_strategy(g, seq, spec, sigma) for spec in specs]
-            assert scores == _per_step(g, seq, specs, sigma)
+            scores = [run_strategy(g, seq, spec, sigma) for spec in rules]
+            assert scores == _per_step(g, seq, rules, sigma)
+            assert score(sigma) == scores
     # with a = n the trigger is never read, so no sequence is needed
     spec = two_phase(1, 1, "initial_clique")
     assert run_strategy(_path(n), None, spec, list(range(n))) == (n, 1)
