@@ -14,11 +14,10 @@ form a clique, as in a path, a star or a k-tree numbered in construction
 order), from the witness identity CC(S) = #{v in S: no lower-id neighbour of
 v in S}; one per edge on a forest; and otherwise from a minimum spanning
 forest of the edge times (graphs.spanning_forest, Borůvka's rounds in
-NumPy).  component_count, the count of one prefix, needs no merge times: it
-reads the witness branch when the ids eliminate; on any other forest it
-counts the prefix's vertices whose parent in Graph.forest_parent is outside
-the prefix, in O(len(prefix)); and otherwise it hooks the prefix's induced
-subgraph by graphs.component_roots.
+NumPy).  component_count, the count of one prefix, needs no merge times:
+on a forest, whatever its ids, it is the prefix's size minus its edges;
+otherwise it reads the witness branch when the ids eliminate, and it hooks
+the prefix's induced subgraph by graphs.component_roots when they do not.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ import numpy as np
 from .errors import UsageError, ValidationError
 from .graphs import component_roots, spanning_forest
 
-# beyond this size we stop maintaining the active-set bitmask (only the
-# subset DP consumes it, and it is capped far below)
+# beyond this size we stop maintaining the active-set bitmask: only the dp
+# rule reads it, and exact.DP_CAP, the subset DP's cap, is this one
 _MASK_CAP = 24
 
 
@@ -308,24 +307,23 @@ def component_count(graph, prefix):
     """Component count of the vertices of prefix: the last entry of
     component_count_trace(graph, prefix), without the rest of the trace.
 
-    When the ids eliminate, the kernel's witness branch gives it.  Otherwise
-    the prefix is marked in a zeroed membership array.  On a forest each
-    edge inside the prefix joins a vertex to its parent, so the count is t
-    minus the prefix vertices whose parent is in the prefix: O(len(prefix))
-    gathers, after the one orientation per graph.  On any other graph the
-    edges with both ends in the prefix go to graphs.component_roots, and
-    the count is t minus the vertices it hooked below themselves."""
+    On a forest every edge inside the prefix joins two of its components,
+    so the count is t minus those edges, whatever the ids.  On any other
+    graph whose ids eliminate, the kernel's witness branch gives it.
+    Otherwise the edges with both ends in the prefix go to
+    graphs.component_roots, and the count is t minus the vertices it hooked
+    below themselves."""
     t = len(prefix)
-    if graph.ids_eliminate:
+    forest = graph.is_forest()
+    if not forest and graph.ids_eliminate:
         return t - int(np.count_nonzero(_merge_times(graph, prefix) <= t))
-    prefix = np.asarray(prefix, dtype=np.intp)
-    inside = np.zeros(graph.n + 1, dtype=bool)  # slot n: a forest root's parent
-    inside[prefix] = True
-    if graph.is_forest():
-        return t - int(np.count_nonzero(inside[graph.forest_parent[prefix]]))
+    inside = np.zeros(graph.n, dtype=bool)
+    inside[np.asarray(prefix, dtype=np.intp)] = True
     eu, ev = graph.edge_arrays
     both = inside.take(eu)
     both &= inside.take(ev)
+    if forest:
+        return t - int(np.count_nonzero(both))
     root = component_roots(graph.n, eu.compress(both), ev.compress(both))
     return t - int(np.count_nonzero(root != np.arange(graph.n)))
 
@@ -335,24 +333,36 @@ def nbr_sum_trace(graph, sigma):
     on a chordal graph: an int64 array of length n+1 whose entry t is the
     nbr_sum of the first t arrivals.  UsageError if the graph is not chordal.
 
-    In graph.elimination_arcs' order each vertex's earlier neighbours K_v
-    form a clique.  The active components next to an inactive w are then the
-    components of G[N(w) & S], each counted once at its first vertex in the
-    order.  Per vertex v, with a_v its arrival, d_v = |K_v| and f_v the
-    first arrival in K_v (never if K_v is empty), that leaves
+    On a forest the active neighbours of an inactive w lie in distinct
+    components (two in one would close a cycle through w), so nbr_sum counts
+    the edges with one end active: each edge adds 1 at its first end's
+    arrival and takes it back at its second's.
+
+    On any other chordal graph, in graph.elimination_arcs' order each
+    vertex's earlier neighbours K_v form a clique.  The active components
+    next to an inactive w are then the components of G[N(w) & S], each
+    counted once at its first vertex in the order.  Per vertex v, with a_v
+    its arrival, d_v = |K_v| and f_v the first arrival in K_v (never if K_v
+    is empty), that leaves
       - d_v from a_v to f_v, if a_v < f_v: v alone starts a component next
         to each w in K_v;
       - 1 from f_v to a_v, if f_v < a_v: the first active vertex of K_v
         starts one next to v.
     So nbr_sum is one cumulative sum of events at the a_v and f_v.
     """
-    arcs = graph.elimination_arcs
-    if arcs is None:
+    forest = graph.is_forest()
+    if not forest and graph.elimination_arcs is None:
         raise UsageError("nbr_sum_trace needs a chordal graph")
-    later, earlier, depth = arcs
     n = graph.n
     arrival = np.empty(n, dtype=np.int32)
     arrival[sigma] = np.arange(1, n + 1, dtype=np.int32)
+    if forest:
+        eu, ev = graph.edge_arrays
+        a, b = arrival[eu], arrival[ev]
+        events = np.bincount(np.minimum(a, b), minlength=n + 1)
+        events -= np.bincount(np.maximum(a, b), minlength=n + 1)
+        return np.cumsum(events)
+    later, earlier, depth = graph.elimination_arcs
     first = np.full(n, n + 1, dtype=np.int32)
     np.minimum.at(first, later, arrival[earlier])
     alone = arrival < first  # v arrives before all of K_v

@@ -38,10 +38,11 @@ from itertools import combinations
 import numpy as np
 
 from . import strategies
-from .activation import ActivationState
+from .activation import _MASK_CAP, ActivationState
 from .errors import ParameterError, ResourceLimitError, ValidationError
 
-DP_CAP = 24
+# the dp rule reads ActivationState's active-set mask, kept up to this n
+DP_CAP = _MASK_CAP
 DP_EXACT_CAP = 12
 PERM_CAP = 9
 SUBSET_ENUM_CAP = 10**8

@@ -128,14 +128,10 @@ class Graph:
         return v in self.adj[u]
 
     @cached_property
-    def _component_labels(self):
-        # the components numbered in the order of their lowest vertices
-        root = component_roots(self.n, *self.edge_arrays)
-        return (np.cumsum(root == np.arange(self.n)) - 1)[root]
-
-    @cached_property
     def _component_count(self):
-        return int(self._component_labels.max()) + 1 if self.n else 0
+        # each component's root is its lowest vertex
+        root = component_roots(self.n, *self.edge_arrays)
+        return int(np.count_nonzero(root == np.arange(self.n)))
 
     @cached_property
     def ids_eliminate(self):
@@ -164,10 +160,9 @@ class Graph:
         """(later, earlier, depth) of a chordal graph; None if the graph is
         not chordal.  Built once per graph, on first use.
 
-        Vertices are ranked by id when ``ids_eliminate`` holds, on any other
-        forest by ``forest_parent`` (a parent ranks before its children), and
-        otherwise by maximum cardinality search (Tarjan & Yannakakis, SIAM J.
-        Comput. 13 (1984) 566).  Arc i runs from later[i] to earlier[i], its endpoint
+        Vertices are ranked by id when ``ids_eliminate`` holds, and otherwise
+        by maximum cardinality search (Tarjan & Yannakakis, SIAM J. Comput. 13
+        (1984) 566).  Arc i runs from later[i] to earlier[i], its endpoint
         of lower rank; the int32 arrays are sorted by later vertex, and
         depth[v] counts v's earlier neighbours K_v.  The graph is chordal iff
         every K_v is a clique, which holds iff each member of K_v is adjacent
@@ -179,11 +174,6 @@ class Graph:
             # the check is done: sort the arcs by later vertex, then by id
             arcs = np.argsort(ev, kind="stable")
             later, earlier = ev[arcs], eu[arcs]
-        elif self.is_forest():
-            # K_v is v's parent, if v has one
-            parent = self.forest_parent
-            later = np.flatnonzero(parent < n).astype(np.int32)
-            earlier = parent[later]
         else:
             rank = np.empty(n, dtype=np.int32)
             rank[_mcs_order(self.adj)] = np.arange(n, dtype=np.int32)
@@ -201,21 +191,6 @@ class Graph:
         for x in (later, earlier, depth):
             x.flags.writeable = False  # shared by every caller
         return later, earlier, depth
-
-    @cached_property
-    def forest_parent(self):
-        """Each tree of a forest rooted at its lowest vertex: a read-only
-        int32 array whose entry v is v's neighbour towards its root, or n at
-        a root.  None if the graph is not a forest.  Built once per graph, on
-        first use, from one Euler tour of the forest (_root_trees)."""
-        if not self.is_forest():
-            return None
-        n = self.n
-        roots = np.full(self._component_count, n)
-        np.minimum.at(roots, self._component_labels, np.arange(n))
-        parent = _root_trees(n, *self.edge_arrays, roots)
-        parent.flags.writeable = False  # shared by every caller
-        return parent
 
     def is_forest(self):
         """True iff the graph is acyclic.  Computed once per graph."""
@@ -493,49 +468,6 @@ def _roots(ptr):
         if (jumped == ptr).all():
             return ptr
         ptr = jumped
-
-
-def _root_trees(n, eu, ev, roots):
-    """The parent array of the forest with the edges (eu[i], ev[i]), each
-    tree rooted at its vertex in roots: int32, n at a root.
-
-    Euler tour technique (Tarjan & Vishkin, SIAM J. Comput. 14 (1985) 862):
-    arc j runs from tail[j], and arcs j and j + m are the two directions of
-    edge j.  One sort groups the arcs by tail; the tour goes from an arc
-    (x, y) to the arc after (y, x) in y's group, cyclically, and is cut just
-    before each root's first arc.  Pointer jumping then gives every arc its
-    distance to the end of its tour, and the arc of an edge that is farther
-    from the end runs from parent to child.
-    """
-    m = len(eu)
-    tail = np.concatenate((eu, ev))
-    order = np.argsort(tail)  # sorted position -> arc
-    at = np.empty(2 * m, dtype=np.intp)  # arc -> sorted position
-    at[order] = np.arange(2 * m)
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(tail, minlength=n), out=start[1:])
-    # the next position in the same group, cyclically
-    after = np.arange(1, 2 * m + 1)
-    busy = start[1:] > start[:-1]
-    after[start[1:][busy] - 1] = start[:-1][busy]
-    # by sorted position, as is every array below
-    twin = at[np.where(order < m, order + m, order - m)]
-    succ = after[twin]
-    roots = roots[busy[roots]]
-    # a root's tour starts at its group's first arc and ends at the arc back
-    # into it from its group's last neighbour
-    first, last = start[roots], twin[start[roots + 1] - 1]
-    succ[last] = last
-    dist = np.ones(2 * m, dtype=np.intp)
-    dist[last] = 0
-    # every pointer has reached its tour's end once each first arc's has
-    while not np.array_equal(succ[first], last):
-        dist += np.take(dist, succ)
-        succ = np.take(succ, succ)
-    down = dist[at[:m]] > dist[at[m:]]  # edge i runs from eu[i] to ev[i]
-    parent = np.full(n, n, dtype=np.int32)
-    parent[np.where(down, ev, eu)] = np.where(down, eu, ev)
-    return parent
 
 
 def _are_edges(n, eu, ev, a, b):

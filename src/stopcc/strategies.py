@@ -236,13 +236,14 @@ def order_scorer(graph, seq, specs):
     position_stop_time; dp, and greedy on a chordal graph, at the first flag
     of stop_flags over the order's sets at t = 1..n-1, the prefix masks for
     dp and the margins of one nbr_sum_trace for greedy, each computed once
-    per order for all the rules that read them.  Greedy on other graphs
-    steps one ActivationState for all such rules, which reads their counts.
-    The other counts come from one merge_counts of the longest stopping
-    prefix when those rules stop at more than one time and the graph's ids
-    eliminate, where component_count would run the same kernel on each
-    prefix; otherwise from component_count on each stopping prefix, O(prefix)
-    on a forest.
+    per order for all the rules that read them; on a forest nbr_sum_trace
+    reads the edges alone, so no elimination order is searched for.  Greedy
+    on other graphs steps one ActivationState for all such rules, which
+    reads their counts.  The other counts come from one merge_counts of the longest
+    stopping prefix when those rules stop at more than one time and the
+    graph's ids eliminate, where component_count would run the same kernel
+    on each prefix; otherwise from component_count on each stopping prefix,
+    O(n) on a forest, from its edges.
     """
     n = graph.n
     steps = np.arange(1, n)
@@ -257,7 +258,8 @@ def order_scorer(graph, seq, specs):
             if early is not None:
                 trigger = np.array(list(trigger), dtype=np.intp)
                 prepared.append(("position", (early, late, trigger)))
-            elif spec.kind == "dp_optimal" or graph.elimination_arcs is not None:
+            elif (spec.kind == "dp_optimal" or graph.is_forest()
+                  or graph.elimination_arcs is not None):
                 prepared.append((spec.kind, stop_flags(spec, n, seq)))
             else:
                 prepared.append(("engine", spec))

@@ -295,8 +295,9 @@ def test_kernel_matches_a_scipy_recount_on_both_labellings(case):
     # the witness branch serves every graph with eliminating ids, so the
     # spanning forest serves exactly the non-forests whose ids do not eliminate
     assert forest.called == (not g.is_forest() and not g.ids_eliminate)
-    # and only the other forests' prefix counts read an orientation
-    assert ("forest_parent" in vars(g)) == (g.is_forest() and not g.ids_eliminate)
+    # every input is chordal: the neighbourhood sums agree with the engine's
+    assert nbr_sum_trace(g, sigma).tolist() == \
+        [s.nbr_sum for s in run_permutation(g, None, sigma)]
 
 
 def test_prefix_counts_of_large_non_chordal_graphs_match_a_scipy_recount():

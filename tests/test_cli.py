@@ -792,17 +792,21 @@ def test_bad_thread_environment_exits_usage(monkeypatch, capsys):
 
 def test_chordal_instances_in_id_order_need_no_spanning_tree(capsys):
     # prefix counts need no merge times: the grid, the one non-chordal
-    # instance, hooks its prefixes instead
+    # instance, hooks its prefixes instead and alone needs a search for an
+    # elimination order; the random tree, whose ids do not eliminate, reads
+    # its edges alone
     rules = ["--strategy", "blind:alpha=1/3", "--strategy", "greedy"]
     for instance in (["--family", "two_star_plus_star", "--n", "3000"],
                      ["--ktree", "2", "--n", "300"], ["--ktree", "3", "--n", "300"],
+                     ["--family", "random_tree", "--n", "300"],
                      ["--family", "grid", "--d", "2", "--side", "12"]):
         forest = mock.patch.object(activation, "spanning_forest", wraps=activation.spanning_forest)
         roots = mock.patch.object(activation, "component_roots", wraps=activation.component_roots)
-        with forest as forest_spy, roots as roots_spy:
+        mcs = mock.patch.object(graphs, "_mcs_order", wraps=graphs._mcs_order)
+        with forest as forest_spy, roots as roots_spy, mcs as mcs_spy:
             for argv in (["run", *rules, "--mode", "mc", "--reps", "6"],
                          ["concentration", "--alpha", "1/3", "--epsilon", "0.1", "--reps", "6"]):
                 code, _, _ = _run(capsys, *argv, *instance)
                 assert code == 0, (argv, instance)
         assert not forest_spy.called, instance
-        assert roots_spy.called == (instance[1] == "grid"), instance
+        assert roots_spy.called == mcs_spy.called == (instance[1] == "grid"), instance

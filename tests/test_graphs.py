@@ -211,7 +211,6 @@ def _bfs_connected(n, edges):
 def test_forest_and_connectivity_flags():
     triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert not triangle.is_forest()
-    assert triangle.forest_parent is None
     assert triangle.is_connected()
     two_parts = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert two_parts.is_forest()
@@ -271,10 +270,9 @@ def _differential_cases(rng):
             for g in graphs_]
 
 
-def test_spanning_forest_labels_and_rooting_match_scipy():
+def test_spanning_forest_and_component_roots_match_scipy():
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
-    from scipy.sparse.csgraph import minimum_spanning_tree
+    from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
     forests = 0
     for g, weights in _differential_cases(random.Random(23)):
@@ -282,21 +280,16 @@ def test_spanning_forest_labels_and_rooting_match_scipy():
         eu, ev = g.edge_arrays
         adjacency = csr_matrix((np.ones(len(eu)), (eu, ev)), shape=(n, n))
         count, labels = connected_components(adjacency, directed=False)
-        assert g._component_labels.tolist() == labels.tolist(), g
+        # scipy numbers the components by their lowest vertices
+        lowest = [int(np.flatnonzero(labels == c)[0]) for c in range(count)]
+        root = graphs.component_roots(n, eu, ev)
+        assert root.tolist() == [lowest[c] for c in labels], g
+        assert g._component_count == count, g
         picked = graphs.spanning_forest(n, eu, ev, weights)
         mst = minimum_spanning_tree(csr_matrix((weights, (eu, ev)), shape=(n, n)))
         assert sorted(picked.tolist()) == sorted(mst.data.tolist()), g
         assert g.is_forest() == (g.edge_count == n - count)
-        if g.is_forest():
-            forests += 1
-            # a virtual vertex n joined to each tree's lowest vertex roots
-            # scipy's search there
-            roots = [int(np.flatnonzero(labels == c)[0]) for c in range(count)]
-            joined = csr_matrix((np.ones(len(eu) + count),
-                                 (np.concatenate((eu, [n] * count)), np.concatenate((ev, roots)))),
-                                shape=(n + 1, n + 1))
-            _, before = breadth_first_order(joined, n, directed=False, return_predecessors=True)
-            assert g.forest_parent.tolist() == before[:n].tolist(), g
+        forests += g.is_forest()
     assert forests > 200
 
 
@@ -917,7 +910,7 @@ def test_elimination_arcs_skip_the_search_when_the_ids_eliminate():
         _check_elimination_arcs(x)
 
 
-def test_forests_whose_ids_do_not_eliminate_read_one_orientation():
+def test_forests_whose_ids_do_not_eliminate_need_no_orientation():
     # a forest with several trees and isolated vertices, in id order and shuffled
     rng = random.Random(21)
     n = 300
@@ -925,28 +918,21 @@ def test_forests_whose_ids_do_not_eliminate_read_one_orientation():
     in_order = Graph.from_edges(n, forest)
     shuffled = _relabel(in_order, rng)
     sigma = np.random.default_rng(21).permutation(n)
-    tour = mock.patch.object(graphs, "_root_trees", wraps=graphs._root_trees)
     mcs = mock.patch.object(graphs, "_mcs_order", wraps=graphs._mcs_order)
     kernel = mock.patch.object(activation, "_merge_times", wraps=activation._merge_times)
-    with tour as rooting, mcs as mcs_order, kernel as merge_times:
+    roots = mock.patch.object(activation, "component_roots", wraps=activation.component_roots)
+    with mcs as mcs_order, kernel as merge_times, roots as hooked:
         assert not shuffled.ids_eliminate
         counts = [activation.component_count(shuffled, sigma[:t]) for t in range(n + 1)]
-        assert shuffled.elimination_arcs is not None
-        assert not merge_times.called and not mcs_order.called and rooting.call_count == 1
-        parent = shuffled.forest_parent
-        # one orientation: each tree hangs from its lowest vertex
-        roots = np.flatnonzero(parent == n)
-        assert len(roots) == shuffled._component_count
-        assert roots.tolist() == sorted(min(np.flatnonzero(shuffled._component_labels == c))
-                                        for c in range(len(roots)))
-        assert counts == activation.component_count_trace(shuffled, sigma)
+        nbr_sums = activation.nbr_sum_trace(shuffled, sigma).tolist()
+        # the edges alone give both: no search, no merge times, no hooking
+        assert not mcs_order.called and not merge_times.called and not hooked.called
         assert in_order.ids_eliminate
-        assert [activation.component_count(in_order, sigma[:t]) for t in range(n + 1)] \
-            == activation.component_count_trace(in_order, sigma)
-        assert in_order.elimination_arcs is not None
-        assert rooting.call_count == 1 and not mcs_order.called
-    assert not parent.flags.writeable
-    for name in ("_component_count", "_component_labels", "forest_parent"):
-        assert name not in vars(in_order)  # the witness kernel needs none of them
+        in_order_counts = [activation.component_count(in_order, sigma[:t]) for t in range(n + 1)]
+        assert not merge_times.called  # a forest takes its edges before the witnesses
+    assert counts == activation.component_count_trace(shuffled, sigma)
+    assert nbr_sums == [s.nbr_sum for s in activation.run_permutation(shuffled, None, sigma)]
+    assert in_order_counts == activation.component_count_trace(in_order, sigma)
+    assert "_component_count" not in vars(in_order)  # the edge count needs none
     for g in (in_order, shuffled):
         _check_elimination_arcs(g)
