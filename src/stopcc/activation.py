@@ -307,23 +307,26 @@ def component_count(graph, prefix):
     """Component count of the vertices of prefix: the last entry of
     component_count_trace(graph, prefix), without the rest of the trace.
 
-    On a forest every edge inside the prefix joins two of its components,
-    so the count is t minus those edges, whatever the ids.  On any other
-    graph whose ids eliminate, the kernel's witness branch gives it.
-    Otherwise the edges with both ends in the prefix go to
+    Every branch reads the edges with both ends in the prefix.  On a forest
+    each of them joins two of its components, so the count is t minus those
+    edges, whatever the ids.  On any other graph whose ids eliminate, each
+    component has its lowest vertex as its one witness (see _merge_times),
+    so the count is t minus the vertices with a lower neighbour inside, the
+    distinct higher ends of those edges.  Otherwise those edges go to
     graphs.component_roots, and the count is t minus the vertices it hooked
     below themselves."""
     t = len(prefix)
-    forest = graph.is_forest()
-    if not forest and graph.ids_eliminate:
-        return t - int(np.count_nonzero(_merge_times(graph, prefix) <= t))
     inside = np.zeros(graph.n, dtype=bool)
     inside[np.asarray(prefix, dtype=np.intp)] = True
     eu, ev = graph.edge_arrays
     both = inside.take(eu)
     both &= inside.take(ev)
-    if forest:
+    if graph.is_forest():
         return t - int(np.count_nonzero(both))
+    if graph.ids_eliminate:
+        joined = np.zeros(graph.n, dtype=bool)
+        joined[ev.compress(both)] = True
+        return t - int(np.count_nonzero(joined))
     root = component_roots(graph.n, eu.compress(both), ev.compress(both))
     return t - int(np.count_nonzero(root != np.arange(graph.n)))
 

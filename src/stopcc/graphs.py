@@ -581,13 +581,22 @@ def ksystem_from_construction(seq):
     return KSystem(seq.n, tuple(seq.order[seq.k:]))
 
 
+def _check_id_limit(instance, n):
+    """ParameterError if instance, of n vertices, is above the id limit."""
+    if n > ID_LIMIT:
+        raise ParameterError(
+            f"{instance} has {n} vertices, above the int32 id limit {ID_LIMIT}")
+
+
 def _sequence_start(k, n):
     """The initial-clique entries of a width-k sequence on n vertices, vertex
-    i attached to the i earlier ones, after checking k >= 1 and n >= k."""
+    i attached to the i earlier ones, after checking k >= 1, n >= k and the
+    id limit."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
+    _check_id_limit(f"width-{k} sequence with n={n}", n)
     return [(i, frozenset(range(i))) for i in range(k)]
 
 
@@ -720,22 +729,26 @@ def gen_named_family(family, params, sequence=True):
     if family == "path":
         n = _require_int(p, "n", 1)
         _reject_extras(family, p)
+        _check_id_limit(f"path with n={n}", n)
         return _tree_family(n, [(i, i + 1) for i in range(n - 1)], sequence)
     if family == "star":
         leaves = _require_int(p, "n", 1)
         _reject_extras(family, p)
+        _check_id_limit(f"star with n={leaves}", leaves + 1)
         return _tree_family(leaves + 1, [(0, i) for i in range(1, leaves + 1)], sequence)
     if family == "k_star":
         k = _require_int(p, "k", 1)
         n = _require_int(p, "n", k)
         _reject_extras(family, p)
+        order = _sequence_start(k, n)
         base = frozenset(range(k))
-        order = _sequence_start(k, n) + [(v, base) for v in range(k, n)]
+        order += [(v, base) for v in range(k, n)]
         seq = ConstructionSequence(k, tuple(order))
         return graph_from_construction(seq), seq
     if family == "star_plus_path":
         n = _require_int(p, "n", 2)
         _reject_extras(family, p)
+        _check_id_limit(f"star_plus_path with n={n}", 2 * n + 1)
         # leaves 0..n, center n+1, path vertices n+2..2n
         center = n + 1
         edges = [(center, leaf) for leaf in range(n + 1)]
@@ -749,6 +762,7 @@ def gen_named_family(family, params, sequence=True):
         _reject_extras(family, p)
         if attach not in ("center", "leaf"):
             raise ParameterError(f"attach must be 'center' or 'leaf', got {attach!r}")
+        _check_id_limit(f"two_star_plus_star with n={n}", n)
         m2 = math.ceil(Fraction(ratio) * n)
         if m2 < 3 or n - m2 < 2:
             raise ParameterError(
@@ -772,6 +786,7 @@ def gen_named_family(family, params, sequence=True):
         n = _require_int(p, "n", 1)
         seed = p.pop("seed", 0)
         _reject_extras(family, p)
+        _check_id_limit(f"random_tree with n={n}", n)
         rng = random.Random(("tree", n, seed).__repr__())
         return _tree_family(n, _random_tree_edges(n, rng), sequence)
     if family == "grid":
@@ -780,11 +795,7 @@ def gen_named_family(family, params, sequence=True):
         _reject_extras(family, p)
         # vertex a has coordinate (a // side^(d-1-axis)) % side on each axis
         n = side**d
-        if n > ID_LIMIT:
-            raise ParameterError(
-                f"grid with side={side}, d={d} has {n} vertices, above the int32 "
-                f"id limit {ID_LIMIT}"
-            )
+        _check_id_limit(f"grid with side={side}, d={d}", n)
         a = np.arange(n)
         blocks = []
         for axis in range(d):

@@ -2,8 +2,10 @@
 continue/stop, with the information regime enforced by the view type.
 
 Blind strategies see only (n, t); full-information strategies see the whole
-activation state in decide, the per-step reference; orders and the subset
-sweep read stop_flags.  Every strategy stops at t = n at the latest.
+activation state in decide, the per-step reference.  position_stop_time and
+_trigger state a position rule once for decide, stop_flags and order_scorer
+alike; the subset sweep reads stop_flags, and order_scorer compiles each rule
+once per scorer.  Every strategy stops at t = n at the latest.
 """
 
 from __future__ import annotations
@@ -122,32 +124,40 @@ def stop_count(alpha, n):
     """Arrivals after which a fraction-alpha rule stops: ceil(alpha n).
 
     The paper writes alpha*n assuming divisibility; the ceiling keeps t >= 1.
-    Pass alpha as a Fraction to keep it exact: ceil(0.07 * 100) is 8.
+    Pass alpha as a Fraction to keep it exact: ceil(0.07 * 100) is 8.  A
+    Fraction p/q takes the integer ceiling -(-p n // q).
     """
+    if isinstance(alpha, Fraction):
+        return -(-alpha.numerator * n // alpha.denominator)
     return math.ceil(alpha * n)
 
 
-def position_stop_time(spec, n, triggered):
-    """Stop time on n vertices of a rule that reads only arrival positions,
-    and of greedy and dp at n <= 1; else None.  triggered(a) says whether a
-    trigger is among the first a arrivals; two-phase asks it only when a < n."""
+def position_stop_time(spec, n):
+    """(early, late): the stop time on n vertices of a rule that reads only
+    arrival positions, with no trigger among the first early arrivals and
+    with one.  late == early for every rule but two-phase.  Both are n for
+    greedy and dp at n <= 1, and None for them at n > 1."""
+    if spec.kind == "two_phase":
+        early = min(max(stop_count(spec.alpha, n), 1), n)  # first consulted at t = 1
+        return early, min(max(early, stop_count(spec.gamma, n)), n)
     if spec.kind == "blind_threshold":
-        return min(spec.l, n)
-    if spec.kind == "blind_fraction":
-        return stop_count(spec.alpha, n)
-    if spec.kind == "fixed_permutation_oracle":
-        return min(max(spec.stop_time, 1), n)  # first consulted at t = 1
-    if spec.kind in ("greedy_gain", "dp_optimal"):
-        return n if n <= 1 else None
-    if spec.kind != "two_phase":
+        t = min(spec.l, n)
+    elif spec.kind == "blind_fraction":
+        t = stop_count(spec.alpha, n)
+    elif spec.kind == "fixed_permutation_oracle":
+        t = min(max(spec.stop_time, 1), n)  # first consulted at t = 1
+    elif spec.kind in ("greedy_gain", "dp_optimal"):
+        t = n if n <= 1 else None
+    else:
         raise UsageError(f"unknown strategy kind {spec.kind!r}")
-    a = min(max(stop_count(spec.alpha, n), 1), n)  # first consulted at t = 1
-    if a < n and triggered(a):
-        return min(max(a, stop_count(spec.gamma, n)), n)
-    return a
+    return t, t
 
 
-def _trigger_set(spec, seq, n):
+def _trigger(spec, n, seq, early):
+    """The trigger set a rule reads, checked against n: two-phase's when it
+    would stop at early < n with none seen; empty for any other rule."""
+    if spec.kind != "two_phase" or early >= n:
+        return frozenset()
     trigger = spec.trigger
     if trigger == "initial_clique":
         if seq is None:
@@ -189,41 +199,27 @@ def decide(spec, view, seq=None):
         table = _dp_table(spec, n)
         return STOP if table.should_stop(view.state.active_mask) else CONTINUE
 
-    def triggered(a):  # active now; in a replay a trigger seen by a stays active
-        return t >= a and any(view.state.active[v] for v in _trigger_set(spec, seq, n))
-
-    return STOP if t >= position_stop_time(spec, n, triggered) else CONTINUE
+    early, late = position_stop_time(spec, n)
+    if t < early:
+        return CONTINUE
+    # a replay reaches t > early only if a trigger arrived by early; it stays active
+    seen = any(view.state.active[v] for v in _trigger(spec, n, seq, early))
+    return STOP if t >= (late if seen else early) else CONTINUE
 
 
 def stop_flags(spec, n, seq=None):
     """decide over any array of active sets, a sweep layer or an order's
     prefixes: flags(masks, t, margin) flags each set of masks, of size t < n.
     margin, read by greedy alone, is the array of its n - t - nbr_sum.  Raises
-    what decide raises on its first call, or for two-phase at t = a."""
+    what decide raises on its first call, or for two-phase at t = early."""
     if spec.kind == "greedy_gain":
         return lambda masks, t, margin: ~_greedy_continues(spec, margin)
     if spec.kind == "dp_optimal":
         stop = _dp_table(spec, n).stop
         return lambda masks, t, margin: stop[masks]
-    early, late, trigger = _position_stops(spec, n, seq)
-    trigger_mask = sum(1 << v for v in trigger)
+    early, late = position_stop_time(spec, n)
+    trigger_mask = sum(1 << v for v in _trigger(spec, n, seq, early))
     return lambda masks, t, margin: (masks & trigger_mask == 0) & (t >= early) | (t >= late)
-
-
-def _position_stops(spec, n, seq):
-    """(early, late, trigger): a rule's position_stop_time with no trigger
-    active and with one active, and the trigger set it read, empty unless
-    two-phase asked; like decide, position_stop_time reads the trigger set
-    only when two-phase asks.  early and late are None for greedy and dp at
-    n > 1."""
-    trigger = set()
-
-    def triggered(a):
-        trigger.update(_trigger_set(spec, seq, n))
-        return True
-
-    early = position_stop_time(spec, n, lambda a: False)
-    return early, position_stop_time(spec, n, triggered), trigger
 
 
 def order_scorer(graph, seq, specs):
@@ -231,74 +227,61 @@ def order_scorer(graph, seq, specs):
     score(sigma), which checks the order sigma and gives the list of each
     rule's (stop_time, component count at stop), in the order of specs.
 
-    The rules' stop helpers are built on the first call, after its order is
-    checked, and serve every later order.  Position rules stop at
-    position_stop_time; dp, and greedy on a chordal graph, at the first flag
-    of stop_flags over the order's sets at t = 1..n-1, the prefix masks for
-    dp and the margins of one nbr_sum_trace for greedy, each computed once
-    per order for all the rules that read them; on a forest nbr_sum_trace
-    reads the edges alone, so no elimination order is searched for.  Greedy
-    on other graphs steps one ActivationState for all such rules, which
-    reads their counts.  The other counts come from one merge_counts of the longest
-    stopping prefix when those rules stop at more than one time and the
-    graph's ids eliminate, where component_count would run the same kernel
-    on each prefix; otherwise from component_count on each stopping prefix,
-    O(n) on a forest, from its edges.
+    The rules are compiled here, once, and serve every order.  A position
+    rule stops at early, or at late when a trigger, held as flags over the
+    vertices, is among the first early arrivals.  dp, and greedy on a
+    chordal graph, stop at the first flag of stop_flags over the order's
+    sets at t = 1..n-1: the prefix masks for dp and the margins of one
+    nbr_sum_trace for greedy, each computed once per order.  Greedy on
+    other graphs steps one ActivationState for all such rules, which reads
+    their counts.  The other counts come from one merge_counts of the
+    longest stopping prefix when those rules stop at more than one time and
+    the graph's ids eliminate, where component_count would run the same
+    kernel on each prefix; otherwise from component_count on each prefix.
     """
     n = graph.n
+    if seq is not None and seq.n != n:
+        raise ValidationError("sequence and graph disagree on vertex count")
     steps = np.arange(1, n)
-    rules = None
-
-    def prepare():
-        if seq is not None and seq.n != n:
-            raise ValidationError("sequence and graph disagree on vertex count")
-        prepared = []
-        for spec in specs:
-            early, late, trigger = _position_stops(spec, n, seq)
-            if early is not None:
-                trigger = np.array(list(trigger), dtype=np.intp)
-                prepared.append(("position", (early, late, trigger)))
-            elif (spec.kind == "dp_optimal" or graph.is_forest()
-                  or graph.elimination_arcs is not None):
-                prepared.append((spec.kind, stop_flags(spec, n, seq)))
-            else:
-                prepared.append(("engine", spec))
-        return prepared
+    positions, flagged, engine = [], [], []  # each kind's rules, by index in specs
+    for i, spec in enumerate(specs):
+        early, late = position_stop_time(spec, n)
+        if early is not None:
+            trigger = np.zeros(n, dtype=bool)
+            trigger[list(_trigger(spec, n, seq, early))] = True
+            positions.append((i, early, late, trigger))
+        elif (spec.kind == "dp_optimal" or graph.is_forest()
+              or graph.elimination_arcs is not None):
+            flagged.append((i, stop_flags(spec, n, seq)))
+        else:
+            engine.append(i)
+    kinds = {specs[i].kind for i, _ in flagged}
 
     def score(sigma):
-        nonlocal rules
         sigma = check_permutation(sigma, n)
-        if rules is None:
-            rules = prepare()
-        kinds = {kind for kind, _ in rules}
         masks = margin = None
         if "dp_optimal" in kinds:
             masks = np.cumsum(np.left_shift(1, sigma[:-1], dtype=np.int64))
         if "greedy_gain" in kinds:
             margin = n - steps - nbr_sum_trace(graph, sigma)[1:n]
         times = {}  # stop time -> the rules whose count the kernel gives there
-        engine = []
-        for i, (kind, rule) in enumerate(rules):
-            if kind == "position":
-                early, late, trigger = rule
-                t = late if late != early and np.isin(sigma[:early], trigger).any() else early
-            elif kind == "engine":
-                engine.append(i)
-                continue
-            else:
-                stops = rule(masks, steps, margin)
-                t = int(stops.argmax()) + 1 if stops.any() else n
+        for i, early, late, trigger in positions:
+            t = late if late != early and trigger.take(sigma[:early]).any() else early
+            times.setdefault(t, []).append(i)
+        for i, rule in flagged:
+            stops = rule(masks, steps, margin)
+            t = int(stops.argmax()) + 1 if stops.any() else n
             times.setdefault(t, []).append(i)
         if len(times) > 1 and graph.ids_eliminate:
             counts = counts_from_merges(merge_counts(graph, sigma[:max(times)]))
         else:
             counts = {t: component_count(graph, sigma[:t]) for t in times}
-        scores = [None] * len(rules)
+        scores = [None] * len(specs)
         for t, ids in times.items():
             for i in ids:
                 scores[i] = t, int(counts[t])
         if engine:
-            for i, played in zip(engine, _play(graph, sigma, [rules[i][1] for i in engine])):
+            for i, played in zip(engine, _play(graph, sigma, [specs[i] for i in engine])):
                 scores[i] = played
         return scores
 

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -157,6 +158,47 @@ def test_huge_grid_exits_usage_before_any_array(capsys):
         code, out, err = _run(capsys, "generate", "family", "--name", "grid",
                               "--d", "2", "--side", "99999")
     assert code == cli.EXIT_USAGE and out == "" and "int32" in err
+
+
+_HUGE_INSTANCES = """
+import contextlib, io
+import stopcc.cli as cli
+from stopcc import graphs
+from stopcc.errors import ParameterError
+
+big = graphs.ID_LIMIT + 1
+run = ["--strategy", "greedy", "--mode", "mc", "--reps", 1]
+for argv in (["run", "--family", "path", "--n", big, *run],
+             ["run", "--family", "star", "--n", graphs.ID_LIMIT, *run],  # n + 1 vertices
+             ["run", "--family", "star_plus_path", "--n", 2**30, *run],  # 2n + 1 vertices
+             ["run", "--family", "two_star_plus_star", "--n", big, *run],
+             ["run", "--family", "random_tree", "--n", big, *run],
+             ["run", "--family", "k_star", "--k", 2, "--n", big, *run],
+             ["run", "--ktree", 2, "--n", big, *run],
+             ["concentration", "--alpha", "1/2", "--epsilon", "0.3",
+              "--family", "random_tree", "--n", big],
+             ["generate", "ktree", "--k", 2, "--n", big],
+             ["generate", "family", "--name", "path", "--n", big]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    print(code == cli.EXIT_USAGE and "int32 id limit" in err.getvalue(), argv[:4])
+try:
+    graphs.gen_random_kdegenerate(2, big, 0)
+except ParameterError as e:
+    print("int32 id limit" in str(e), "kdegenerate")
+"""
+
+
+def test_huge_instances_exit_usage_before_any_list():
+    # a child capped at 2 GB of address space: a generator that built its
+    # lists before the id-limit check would raise MemoryError there, fast,
+    # instead of exhausting the machine
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    lines = _python(_HUGE_INSTANCES, preexec_fn=cap).splitlines()
+    assert len(lines) == 11 and all(line.startswith("True") for line in lines), lines
 
 
 def test_reps_cap_exits_usage_before_any_work(monkeypatch, capsys):
@@ -644,14 +686,14 @@ def test_metagame_phi_max(capsys):
         assert abs(metagame.phi(*pt) - 0.25) <= 1e-12
 
 
-def _python(code, *args):
+def _python(code, *args, preexec_fn=None):
     """stdout of a fresh interpreter running code, with args as sys.argv[1:]
-    and this package on its path."""
+    and this package on its path; preexec_fn runs in the child first."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, *args],
-                          env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, preexec_fn=preexec_fn).stdout
 
 
 def test_cli_import_skips_scipy_optimize():

@@ -148,7 +148,7 @@ def test_fixed_permutation_oracle():
     assert (stop_t, cc) == (2, 2)
     assert fixed_permutation_oracle(2).describe() == "fixed_permutation_oracle"
     with pytest.raises(UsageError, match="unknown strategy kind 'mystery'"):
-        strategies.position_stop_time(strategies.StrategySpec("mystery"), 4, None)
+        strategies.position_stop_time(strategies.StrategySpec("mystery"), 4)
 
 
 def test_constructor_validation():
@@ -369,7 +369,8 @@ def _greedy_by_gain(graph, strict, sigma):
 
 def test_greedy_on_chordal_graphs_matches_per_step_rule():
     # seeded orders on graphs large enough for long greedy runs; the cycle
-    # and the grid, not chordal, take the step engine for greedy
+    # and the grid, not chordal, take the step engine for greedy; the
+    # position rules ride along on orders too long for any prefix mask
     instances = [
         graphs.graph_from_construction(graphs.gen_random_ktree(k, n, seed))
         for k in (1, 2, 3) for n, seed in ((k + 1, 1), (12, 2), (60, 3), (300, 4))
@@ -380,7 +381,9 @@ def test_greedy_on_chordal_graphs_matches_per_step_rule():
     instances.append(graphs.gen_named_family("grid", {"d": 2, "side": 3})[0])
     rng = np.random.default_rng(12)
     for g in instances:
-        specs = [greedy_gain(), greedy_gain(strict=True)]
+        specs = [greedy_gain(), greedy_gain(strict=True), blind_threshold(g.n // 2),
+                 blind_fraction(Fraction(1, 3)), fixed_permutation_oracle(g.n // 3),
+                 two_phase(Fraction(1, 3), Fraction(1, 2), {0, 1})]
         if g.n <= exact.DP_EXACT_CAP:
             specs.append(dp_optimal(exact.solve_dp(g)))
         for _ in range(8):
