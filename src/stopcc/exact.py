@@ -11,16 +11,18 @@ for any graph whose ids are an elimination order, as the paper's k-trees in
 construction order are, and by frontier growth for any other graph.  The
 flood fill cc_of_mask is its oracle.
 
-The DP sweeps the masks block by block, a block being the masks that share
-their top n - _DP_BLOCK_BITS bits P, so that the block's values stay in cache.
-Blocks are solved by descending P: block P reads only blocks P + (a bit not
-in P), which are larger and so already solved.  Inside a block the layers of
-the low bits are swept from full to empty, in one low-bit layer order that
-every block shares.  Each state adds V(S + v) over v not in S by ascending
-bit, the low bits from its own block and then the high bits from the solved
-blocks, which is the order of a single sweep over all 2^n masks, so every
-value and stop flag is bit-identical to it; for n <= _DP_BLOCK_BITS there is
-one block, and that sweep is what runs.
+The DP sweeps the masks block by block, a block being the 2^14 masks that
+share their top n - _DP_BLOCK_BITS bits P, so that the block's values stay in
+cache.  Blocks are solved by descending P: block P reads only blocks
+P + (a bit not in P), which are larger and so already solved.  Inside a block
+the layers of the low bits are swept from full to empty, in one low-bit layer
+order that every block shares.  Each state adds only its n - |S| successors
+V(S + v), v not in S, by ascending bit: the low bits from its own block,
+gathered through one successor table per sweep whose rows list each mask's
+missing low bits in ascending order and summed row by row, and then the high
+bits from the solved blocks.  That is the order of a single sweep over all
+2^n masks, so every value and stop flag is bit-identical to it; for
+n <= _DP_BLOCK_BITS there is one block, and that sweep is what runs.
 
 The same sweep scores a rule: strategy_value puts the rule's stop flags in
 place of the max on the exact tier, so one sweep serves the optimal value V*
@@ -55,9 +57,10 @@ BLIND_CURVE_BUDGET = 10**9  # bytes
 
 # accumulated float error in the DP is below n * 2**-50; this dominates it
 DP_TIE_TOL = 1e-9
-# the subset DP solves 2**_DP_BLOCK_BITS masks at a time: 1 MB of float64,
-# which stays in a core's L2 cache while the block's layers are swept
-_DP_BLOCK_BITS = 17
+# the subset DP solves 2**_DP_BLOCK_BITS masks at a time: 128 kB of float64,
+# which stays in a core's L2 cache while the block's layers are swept; the
+# successor table adds 14 * 2**13 intp entries, 0.92 MB (8.9 MB at 17 bits)
+_DP_BLOCK_BITS = 14
 
 
 def blind_expectation_tree(n, l):
@@ -283,7 +286,8 @@ def solve_dp(graph, exact=False):
 
     The sweep runs over blocks of 2^_DP_BLOCK_BITS masks (see the module
     docstring).  Besides the uint8 component-count table it allocates only
-    the value and stop tables, 8 + 1 bytes per mask, and working arrays of
+    the value and stop tables, 8 + 1 bytes per mask, the successor table of
+    _DP_BLOCK_BITS * 2^(_DP_BLOCK_BITS - 1) entries, and working arrays of
     O(2^_DP_BLOCK_BITS) entries."""
     _check_dp_caps(graph.n, exact)
     return _solve_dp(graph, exact)
@@ -298,21 +302,50 @@ def _check_dp_caps(n, exact_tier):
         )
 
 
+def _successor_table(width):
+    """The shared low-bit layer order of a block of 2^width masks, as
+    [(layer, successors)] for tau = 0..width: layer holds the masks of
+    popcount tau in ascending order, and successors is the
+    (width - tau, len(layer)) intp array whose row r holds each mask plus
+    its r-th missing bit, the bits ascending.  It has width * 2^(width-1)
+    entries."""
+    pc = _popcounts(1 << width)
+    # uint8 keys take NumPy's stable radix sort
+    order = np.argsort(pc, kind="stable")
+    offsets = np.searchsorted(pc[order], np.arange(width + 2))
+    table = []
+    for tau in range(width + 1):
+        layer = order[offsets[tau]: offsets[tau + 1]]
+        successors = np.empty((width - tau, len(layer)), dtype=np.intp)
+        filled = layer
+        for row in successors:
+            # the lowest bit missing from the mask and the rows above
+            bit = ~filled & (filled + 1)
+            np.bitwise_or(layer, bit, out=row)
+            filled = filled | bit
+        table.append((layer, successors))
+    return table
+
+
 def _solve_dp(graph, exact_tier, rule=None, margins=False):
     """The sweep behind solve_dp.  With rule, strategies.stop_flags of a
     rule, the flags it returns replace the max: a state where it stops keeps
     its CC, any other the mean of its successors.  margins accumulates the
-    array sum over v of CC(S | v) - n CC(S), the greedy margin, for rule."""
+    array sum over v not in S of CC(S + v) - CC(S), the greedy margin, for
+    rule.
+
+    Each state adds only its n - |S| successors, starting from the first:
+    the low ones with one take through _successor_table per layer, the rows
+    summed in order (np.add.reduce over axis 0, which is not the fast axis;
+    a one-mask layer has one column, which NumPy would sum pairwise, so its
+    rows are added one at a time), then the high ones by ascending bit.  So
+    every float addition happens in ascending bit order."""
     n = graph.n
     cc = _component_counts(graph)
     width = min(n, _DP_BLOCK_BITS)
     # row p of these views is block p: the masks whose top n - width bits are p
     cc_rows = cc.reshape(-1, 1 << width)
-    pc = _popcounts(1 << width)
-    # the local layer order, shared by every block; uint8 keys take NumPy's
-    # stable radix sort; take converts any other index dtype to intp per call
-    order = np.argsort(pc, kind="stable")
-    offsets = np.searchsorted(pc[order], np.arange(width + 2))
+    table = _successor_table(width)
     # exact tier: W(S) <= n*(n-|S|)! <= n*n! < 2**63 for n <= 19, so int64
     # is exact under DP_EXACT_CAP
     values = np.zeros(1 << n, dtype=np.int64 if exact_tier else np.float64)
@@ -325,29 +358,30 @@ def _solve_dp(graph, exact_tier, rule=None, margins=False):
     for p in range(full_block, -1, -1):
         block, block_cc, block_stop = value_rows[p], cc_rows[p], stop_rows[p]
         # the solved blocks that S + (a high bit not in S) falls in, by
-        # ascending bit; a high bit already in S would add S's own 0
+        # ascending bit
         above = [p | 1 << j for j in range(n - width) if not p >> j & 1]
         # the full block's top layer is the full mask, set above
         top = width - 1 if p == full_block else width
         for tau in range(top, -1, -1):
-            layer = order[offsets[tau]: offsets[tau + 1]]
-            # a low bit already in S reads S's own value, still 0 in this
-            # layer, so adding it leaves acc bit-identical
-            acc = np.zeros(len(layer), dtype=values.dtype)
-            margin = np.zeros(len(layer), dtype=np.int64) if margins else None
-            for b in range(width):
-                up = layer | (1 << b)
-                acc += block.take(up)
-                if margins:
-                    margin += block_cc.take(up)
+            layer, successors = table[tau]
+            low = block.take(successors)
+            if len(layer) > 1:
+                # axis 0 is not the fast axis: NumPy adds the rows in order
+                acc = np.add.reduce(low, axis=0)
+            else:
+                # one column would be summed pairwise, so add row by row
+                acc = np.zeros(1, dtype=values.dtype)
+                for row in low:
+                    acc += row
             for q in above:
                 acc += value_rows[q].take(layer)
-                if margins:
-                    margin += cc_rows[q].take(layer)
             remaining = n - p.bit_count() - tau
-            here, cont = block_cc.take(layer), acc
-            if margins:  # each low bit in S added CC(S), the high bits in p nothing
-                margin -= (n - p.bit_count()) * here.astype(np.int64)
+            here, cont, margin = block_cc.take(layer), acc, None
+            if margins:
+                margin = block_cc.take(successors).sum(axis=0, dtype=np.int64)
+                for q in above:
+                    margin += cc_rows[q].take(layer)
+                margin -= remaining * here.astype(np.int64)
             if exact_tier:
                 # NumPy 2 refuses a uint8 array times a Python int above 255
                 here = here.astype(np.int64) * math.factorial(remaining)

@@ -25,6 +25,10 @@ from .errors import ParameterError, ResourceLimitError, ValidationError
 ID_LIMIT = np.iinfo(np.int32).max
 # edges whose pairs ids_eliminate looks up before the rest
 _PROBE = 64
+# bytes per id of a width-k initial clique's k(k-1)/2 ids, estimated high:
+# tracemalloc peaks of gen_random_ktree(k, k, 0) read 68-91 at k = 500-2000
+SEQUENCE_ID_BYTES = 100
+SEQUENCE_BUDGET = 10**9  # bytes
 
 
 class Graph:
@@ -591,12 +595,19 @@ def _check_id_limit(instance, n):
 def _sequence_start(k, n):
     """The initial-clique entries of a width-k sequence on n vertices, vertex
     i attached to the i earlier ones, after checking k >= 1, n >= k and the
-    id limit."""
+    id limit, and then, with ResourceLimitError, that the clique's
+    k(k-1)/2 ids fit SEQUENCE_BUDGET bytes."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
     _check_id_limit(f"width-{k} sequence with n={n}", n)
+    need = k * (k - 1) // 2 * SEQUENCE_ID_BYTES
+    if need > SEQUENCE_BUDGET:
+        raise ResourceLimitError(
+            f"the initial clique of a width-{k} sequence needs about {need // 10**6} MB; "
+            f"it is capped at {SEQUENCE_BUDGET // 10**6} MB"
+        )
     return [(i, frozenset(range(i))) for i in range(k)]
 
 

@@ -201,6 +201,30 @@ def test_huge_instances_exit_usage_before_any_list():
     assert len(lines) == 11 and all(line.startswith("True") for line in lines), lines
 
 
+_WIDE_CLIQUES = """
+import contextlib, io
+import stopcc.cli as cli
+
+run = ["--strategy", "greedy", "--mode", "mc", "--reps", 1]
+for argv in (["generate", "ktree", "--k", 10000, "--n", 10000],
+             ["run", "--family", "k_star", "--k", 10000, "--n", 10000, *run]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    print(code == cli.EXIT_RESOURCE and "needs about 4999 MB" in err.getvalue(), argv[:2])
+"""
+
+
+def test_wide_initial_clique_exits_resource_before_building():
+    # the 10^4-clique's 5 * 10^7 ids would take about 4.5 GB; under the same
+    # 2 GB address-space cap a build before the check would fail there
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    lines = _python(_WIDE_CLIQUES, preexec_fn=cap).splitlines()
+    assert len(lines) == 2 and all(line.startswith("True") for line in lines), lines
+
+
 def test_reps_cap_exits_usage_before_any_work(monkeypatch, capsys):
     def no_instance(*args):
         raise AssertionError("an instance was built above the cap")

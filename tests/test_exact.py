@@ -267,13 +267,48 @@ def test_solve_dp_blocks_match_one_block_bit_for_bit(monkeypatch):
         assert blocked.stop.tobytes() == single.stop.tobytes()
 
 
+def test_successor_table_lists_each_successor_once_in_bit_order():
+    for width in range(7):
+        table = exact._successor_table(width)
+        assert [len(layer) for layer, _ in table] == \
+            [math.comb(width, tau) for tau in range(width + 1)]
+        assert sum(successors.size for _, successors in table) == width << width >> 1
+        seen = []
+        for tau, (layer, successors) in enumerate(table):
+            masks = layer.tolist()
+            assert masks == sorted(masks) and all(s.bit_count() == tau for s in masks)
+            assert successors.dtype == np.intp and successors.shape == (width - tau, len(masks))
+            for s, column in zip(masks, successors.T.tolist()):
+                bits = [(t ^ s).bit_length() - 1 for t in column]
+                assert all(t == s | 1 << v for t, v in zip(column, bits))
+                # each missing bit once, ascending
+                assert bits == [v for v in range(width) if not s >> v & 1]
+            seen += masks
+        assert sorted(seen) == list(range(1 << width))
+
+
+def test_one_mask_layers_add_their_successors_in_order():
+    # the root layer holds one mask, so NumPy would sum its column pairwise
+    # (8 partial sums from 8 successors on); it must add them one at a time,
+    # as this loop does.  On paths of 14, 16 and 17 vertices the pairwise
+    # sum of the root's low successors differs in its last bit
+    for n in range(exact._DP_BLOCK_BITS, 21):
+        table = exact.solve_dp(_path(n))
+        acc = 0.0
+        for v in range(n):
+            acc += float(table.values[1 << v])
+        assert table.values[0] == acc / n, n
+
+
 def test_solve_dp_peak_memory_is_the_tables_plus_slack():
-    # each bound is the measured peak plus 1 byte per mask.  The CC, value
-    # and stop tables take 1 + 8 + 1 bytes per mask, and the block sweep
-    # 1.89 more: a 2^n layer order, 8 bytes per mask, would break the
-    # bound.  The doubling CC build of a forest or of a graph whose ids
-    # eliminate peaks at its 1-byte table plus 3: a 2^n uint32 mask array,
-    # as the frontier growth takes, would break that bound
+    # each bound was set at the measured peak plus 1 byte per mask.  The CC,
+    # value and stop tables take 1 + 8 + 1 bytes per mask, and the block
+    # sweep, its 0.92 MB successor table included, 1.43 more at n = 20 (11.43
+    # on both graphs; 11.98 with 2^17-mask blocks and no table): a 2^n layer
+    # order, 8 bytes per mask, would break the bound, and so would the
+    # 8.9 MB table of 17-bit blocks.  The doubling CC build of a forest or of
+    # a graph whose ids eliminate peaks at its 1-byte table plus 3: a 2^n
+    # uint32 mask array, as the frontier growth takes, would break that bound
     path = _path(20)
     ktree = graphs.graph_from_construction(graphs.gen_random_ktree(2, 20, 0))
     for g in (path, ktree):

@@ -473,6 +473,28 @@ def test_random_ktree_memory_is_linear_in_n_times_k():
     assert peak < 25 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+_WIDTH_K_MAKERS = (lambda k, n: graphs.gen_random_ktree(k, n, 0),
+                   lambda k, n: graphs.gen_random_kdegenerate(k, n, 0),
+                   lambda k, n: graphs.gen_named_family("k_star", {"k": k, "n": n}))
+
+
+def test_wide_initial_clique_is_refused_before_it_is_built(monkeypatch):
+    # k = 10^4 would build 5 * 10^7 ids, about 4.5 GB; the refusal names the
+    # estimate, and the id limit is still checked first
+    big = graphs.ID_LIMIT + 1
+    for make in _WIDTH_K_MAKERS:
+        with pytest.raises(ResourceLimitError, match="width-10000 sequence needs about 4999 MB"):
+            make(10_000, 10_000)
+        with pytest.raises(ParameterError, match="int32 id limit"):
+            make(big, big)
+    # the budget is inclusive: a 50-clique's 1225 ids take 122500 bytes
+    monkeypatch.setattr(graphs, "SEQUENCE_BUDGET", 1225 * graphs.SEQUENCE_ID_BYTES)
+    for make in _WIDTH_K_MAKERS:
+        assert make(50, 60) is not None
+        with pytest.raises(ResourceLimitError, match="width-51 sequence"):
+            make(51, 60)
+
+
 def test_random_ktree_puts_back_the_callers_collector_state():
     # the generator pauses the cyclic collector while it builds; afterwards
     # gc.isenabled() is what it was, after a normal call, after a call that
