@@ -28,6 +28,13 @@ _PROBE = 64
 # bytes per id of a width-k initial clique's k(k-1)/2 ids, estimated high:
 # tracemalloc peaks of gen_random_ktree(k, k, 0) read 68-91 at k = 500-2000
 SEQUENCE_ID_BYTES = 100
+# each later entry's bytes, estimated high, are a fixed part and, when the
+# entry builds its own set, a part per id.  tracemalloc peaks per later
+# entry of gen_random_ktree read 348 at k = 1-4, and of
+# gen_random_kdegenerate 2963 at k = 19 (156 per id), 10838 at k = 77 (141)
+# and 41238 at k = 307 (134): a set of k fresh ids, just past a table resize
+_LATER_ENTRY_BYTES = 500
+_LATER_ID_BYTES = 150
 SEQUENCE_BUDGET = 10**9  # bytes
 
 
@@ -167,26 +174,26 @@ class Graph:
         Vertices are ranked by id when ``ids_eliminate`` holds, and otherwise
         by maximum cardinality search (Tarjan & Yannakakis, SIAM J. Comput. 13
         (1984) 566).  Arc i runs from later[i] to earlier[i], its endpoint
-        of lower rank; the int32 arrays are sorted by later vertex, and
-        depth[v] counts v's earlier neighbours K_v.  The graph is chordal iff
-        every K_v is a clique, which holds iff each member of K_v is adjacent
-        to the latest one, p(v), or is p(v).
+        of lower rank; the int32 arrays are sorted by later vertex, then by
+        the rank of the earlier one, from one sort of the int64 keys
+        later*n + rank(earlier), and depth[v] counts v's earlier neighbours
+        K_v.  The graph is chordal iff every K_v is a clique, which holds iff
+        each member of K_v is adjacent to the latest one, p(v), or is p(v).
         """
         n = self.n
         eu, ev = self.edge_arrays
         if self.ids_eliminate:
             # the check is done: sort the arcs by later vertex, then by id
-            arcs = np.argsort(ev, kind="stable")
-            later, earlier = ev[arcs], eu[arcs]
+            later, earlier = _edge_arrays(n, np.sort(ev.astype(np.int64) * n + eu))
         else:
+            order = np.array(_mcs_order(self.adj), dtype=np.int32)
             rank = np.empty(n, dtype=np.int32)
-            rank[_mcs_order(self.adj)] = np.arange(n, dtype=np.int32)
-            u_later = rank[eu] > rank[ev]
-            later = np.where(u_later, eu, ev)
-            earlier = np.where(u_later, ev, eu)
+            rank[order] = np.arange(n, dtype=np.int32)
+            ru, rv = rank[eu], rank[ev]
             # by later vertex, then by the rank of the earlier one: p(v) ends v's run
-            arcs = np.lexsort((rank[earlier], later))
-            later, earlier = later[arcs], earlier[arcs]
+            keys = np.where(ru > rv, eu, ev).astype(np.int64) * n + np.minimum(ru, rv)
+            later, earlier = _edge_arrays(n, np.sort(keys))
+            earlier = order[earlier]
             p = earlier[np.cumsum(np.bincount(later, minlength=n))[later] - 1]
             other = earlier != p
             if not _are_edges(n, eu, ev, earlier[other], p[other]):
@@ -227,9 +234,15 @@ class ConstructionSequence:
     order: tuple  # tuple of (v, frozenset of earlier vertex ids)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "order", tuple((v, frozenset(m)) for v, m in self.order)
-        )
+        # an order of (v, frozenset) 2-tuples, as the generators build, is
+        # kept as it is; any other is rebuilt into one
+        if type(self.order) is tuple:
+            for e in self.order:
+                if type(e) is not tuple or len(e) != 2 or type(e[1]) is not frozenset:
+                    break
+            else:
+                return
+        object.__setattr__(self, "order", tuple((v, frozenset(m)) for v, m in self.order))
 
     @property
     def n(self):
@@ -383,7 +396,8 @@ def _first_bad_edge(n, u, v):
 
 
 def _edge_arrays(n, keys):
-    """(eu, ev) of the sorted edge keys u*n + v, u < v: read-only int32."""
+    """(a, b) of the int64 keys a*n + b, 0 <= b < n, as read-only int32
+    arrays: the edge arrays (eu, ev) of the sorted edge keys u*n + v, u < v."""
     eu = np.empty(len(keys), dtype=np.int32)
     ev = np.empty(len(keys), dtype=np.int32)
     np.divmod(keys, n, out=(eu, ev), casting="unsafe")
@@ -592,23 +606,46 @@ def _check_id_limit(instance, n):
             f"{instance} has {n} vertices, above the int32 id limit {ID_LIMIT}")
 
 
-def _sequence_start(k, n):
-    """The initial-clique entries of a width-k sequence on n vertices, vertex
-    i attached to the i earlier ones, after checking k >= 1, n >= k and the
-    id limit, and then, with ResourceLimitError, that the clique's
-    k(k-1)/2 ids fit SEQUENCE_BUDGET bytes."""
+def _sequence_start(k, n, later_ids):
+    """The attachment sets of the initial-clique entries of a width-k
+    sequence on n vertices, vertex i attached to the i earlier ones, after
+    checking k >= 1, n >= k and the id limit, and then, with
+    ResourceLimitError, that the whole sequence fits SEQUENCE_BUDGET bytes:
+    the clique's k(k-1)/2 ids, and n - k later entries that each build a
+    set of later_ids ids."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
     _check_id_limit(f"width-{k} sequence with n={n}", n)
-    need = k * (k - 1) // 2 * SEQUENCE_ID_BYTES
+    need = _sequence_bytes(k, n, later_ids)
     if need > SEQUENCE_BUDGET:
         raise ResourceLimitError(
-            f"the initial clique of a width-{k} sequence needs about {need // 10**6} MB; "
+            f"a width-{k} sequence needs about {need // 10**6} MB at n={n}; "
             f"it is capped at {SEQUENCE_BUDGET // 10**6} MB"
         )
-    return [(i, frozenset(range(i))) for i in range(k)]
+    return [frozenset(range(i)) for i in range(k)]
+
+
+def _sequence_bytes(k, n, later_ids):
+    """The estimated peak bytes of a width-k sequence on n vertices whose
+    n - k later entries each build a set of later_ids ids."""
+    return (k * (k - 1) // 2 * SEQUENCE_ID_BYTES
+            + (n - k) * (_LATER_ENTRY_BYTES + later_ids * _LATER_ID_BYTES))
+
+
+def _draw_below(rng, bounds):
+    """[rng.randrange(c) for c in bounds], drawn as randrange draws each:
+    getrandbits(c.bit_length()), drawn again until it is below c; without
+    randrange's argument handling for every draw."""
+    getrandbits = rng.getrandbits
+    picks = []
+    for c in bounds:
+        r = getrandbits(c.bit_length())
+        while r >= c:
+            r = getrandbits(c.bit_length())
+        picks.append(r)
+    return picks
 
 
 def gen_random_ktree(k, n, seed):
@@ -622,7 +659,8 @@ def gen_random_ktree(k, n, seed):
     index below 1 + (v-k)*k, the number created before it, and only the
     picked cliques are built, so the generator keeps O(n*k) ids.  Later
     draws read each attachment set's iteration order, so every set is built
-    by that same expression.
+    by that same expression.  The picks, drawn by _draw_below, are decoded
+    into one list of sets, paired with their vertices once.
 
     The cyclic garbage collector is paused while the 2n sets and tuples are
     built, as none of them can form a cycle, and put back as the caller had
@@ -631,20 +669,18 @@ def gen_random_ktree(k, n, seed):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        order = _sequence_start(k, n)
+        sets = _sequence_start(k, n, k)
         rng = random.Random(("ktree", k, n, seed).__repr__())
-        picks = [rng.randrange(c) for c in range(1, 1 + (n - k) * k, k)]
         initial = frozenset(range(k))
-        for v, i in enumerate(picks, start=k):
+        for i in _draw_below(rng, range(1, 1 + (n - k) * k, k)):
             if i:
                 q, j = divmod(i - 1, k)
                 u = k + q
-                m_u = order[u][1]
-                m = (m_u - {tuple(m_u)[j]}) | {u}
+                m_u = sets[u]
+                sets.append((m_u - {tuple(m_u)[j]}) | {u})
             else:
-                m = initial
-            order.append((v, m))
-        return ConstructionSequence(k, tuple(order))
+                sets.append(initial)
+        return ConstructionSequence(k, tuple(enumerate(sets)))
     finally:
         if collecting:
             gc.enable()
@@ -654,11 +690,10 @@ def gen_random_kdegenerate(k, n, seed):
     """Random maximal k-degenerate sequence: each new vertex attaches to a
     uniform k-subset of the placed vertices (attachment sets are generally
     not cliques, so the result is usually not a k-tree for k >= 2)."""
-    order = _sequence_start(k, n)
+    sets = _sequence_start(k, n, k)
     rng = random.Random(("kdeg", k, n, seed).__repr__())
-    for v in range(k, n):
-        order.append((v, frozenset(rng.sample(range(v), k))))
-    return ConstructionSequence(k, tuple(order))
+    sets += [frozenset(rng.sample(range(v), k)) for v in range(k, n)]
+    return ConstructionSequence(k, tuple(enumerate(sets)))
 
 
 def _random_tree_edges(n, rng):
@@ -667,7 +702,7 @@ def _random_tree_edges(n, rng):
         return []
     if n == 2:
         return [(0, 1)]
-    code = [rng.randrange(n) for _ in range(n - 2)]
+    code = _draw_below(rng, [n] * (n - 2))
     degree = [1] * n
     for x in code:
         degree[x] += 1
@@ -751,10 +786,9 @@ def gen_named_family(family, params, sequence=True):
         k = _require_int(p, "k", 1)
         n = _require_int(p, "n", k)
         _reject_extras(family, p)
-        order = _sequence_start(k, n)
-        base = frozenset(range(k))
-        order += [(v, base) for v in range(k, n)]
-        seq = ConstructionSequence(k, tuple(order))
+        sets = _sequence_start(k, n, 0)
+        sets += [frozenset(range(k))] * (n - k)
+        seq = ConstructionSequence(k, tuple(enumerate(sets)))
         return graph_from_construction(seq), seq
     if family == "star_plus_path":
         n = _require_int(p, "n", 2)

@@ -225,6 +225,30 @@ def test_wide_initial_clique_exits_resource_before_building():
     assert len(lines) == 2 and all(line.startswith("True") for line in lines), lines
 
 
+_LONG_SEQUENCES = """
+import contextlib, io
+import stopcc.cli as cli
+
+for k in (2, 100):
+    argv = ["generate", "ktree", "--k", k, "--n", 10**7]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    print(code == cli.EXIT_RESOURCE and f"width-{k} sequence needs about" in err.getvalue(), k)
+"""
+
+
+def test_long_sequences_exit_resource_before_building():
+    # 10^7 entries of a 2-tree would take about 3.5 GB, and of a 100-tree
+    # tens of GB, with small initial cliques; under the 2 GB address-space
+    # cap a build before the check would fail there
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    lines = _python(_LONG_SEQUENCES, preexec_fn=cap).splitlines()
+    assert len(lines) == 2 and all(line.startswith("True") for line in lines), lines
+
+
 def test_reps_cap_exits_usage_before_any_work(monkeypatch, capsys):
     def no_instance(*args):
         raise AssertionError("an instance was built above the cap")

@@ -1,5 +1,6 @@
 """Data types, generators, families, and file formats."""
 
+import collections
 import gc
 import io
 import itertools
@@ -380,6 +381,27 @@ def test_sequence_validation_names_offending_entry():
         ConstructionSequence(0, ()).validate()
 
 
+def test_an_order_of_frozenset_pairs_is_kept_and_any_other_rebuilt():
+    order = _sample_k2_sequence().order
+    assert type(order) is tuple and ConstructionSequence(2, order).order is order
+    entry = collections.namedtuple("Entry", "v m")
+
+    class Ids(frozenset):
+        pass
+
+    others = [list(order), iter(order), [list(e) for e in order],
+              tuple((v, set(m)) for v, m in order), tuple((v, sorted(m)) for v, m in order),
+              tuple(entry(v, m) for v, m in order), tuple((v, Ids(m)) for v, m in order),
+              (*order[:3], (3, Ids(order[3][1])))]
+    for other in others:
+        seq = ConstructionSequence(2, other)
+        assert seq.order == order and seq.order is not other
+        assert all(type(e) is tuple and type(e[1]) is frozenset for e in seq.order)
+    for bad in (((0, frozenset(), 1),), (*order, (4, frozenset([0, 1]), None))):
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            ConstructionSequence(2, bad)
+
+
 def test_ksystem_validation():
     graphs.KSystem(4, (((0), frozenset([1, 2])),)).validate()
     with pytest.raises(ValidationError, match="own attachment"):
@@ -461,6 +483,19 @@ def test_random_ktree_draws_what_the_clique_list_drew():
         assert [tuple(m) for _, m in seq.order] == [tuple(m) for _, m in ref.order], case
 
 
+def test_draws_below_are_what_randrange_draws():
+    # 2^j - 1, 2^j and 2^j + 1 up to 2^40: above 32 bits getrandbits reads
+    # several words; then the bounds of the k-tree's picks and of the random
+    # tree's Pruefer code
+    powers = [1, 2, *(2**j + d for j in range(2, 41) for d in (-1, 0, 1))]
+    cases = [powers, *(range(1, 1 + (60 - k) * k, k) for k in range(1, 6)), [40] * 38]
+    for seed in range(5):
+        for bounds in cases:
+            rng, twin = random.Random(seed), random.Random(seed)
+            assert graphs._draw_below(rng, bounds) == [twin.randrange(c) for c in bounds]
+            assert rng.getstate() == twin.getstate()
+
+
 def test_random_ktree_memory_is_linear_in_n_times_k():
     # the clique list held (n - k) * k sets of k ids: a 76.5 MiB peak here,
     # against 13.4 MiB for the n sets of the sequence alone
@@ -487,12 +522,29 @@ def test_wide_initial_clique_is_refused_before_it_is_built(monkeypatch):
             make(10_000, 10_000)
         with pytest.raises(ParameterError, match="int32 id limit"):
             make(big, big)
-    # the budget is inclusive: a 50-clique's 1225 ids take 122500 bytes
-    monkeypatch.setattr(graphs, "SEQUENCE_BUDGET", 1225 * graphs.SEQUENCE_ID_BYTES)
-    for make in _WIDTH_K_MAKERS:
-        assert make(50, 60) is not None
+    # the budget is inclusive.  At n = 60 a 51-clique would be cheaper than
+    # a 50-clique: it turns one later entry of 50 ids, at _LATER_ID_BYTES
+    # each, into clique ids at SEQUENCE_ID_BYTES; at n = 100 it costs more
+    for make, later_ids in zip(_WIDTH_K_MAKERS, (50, 50, 0)):
+        monkeypatch.setattr(graphs, "SEQUENCE_BUDGET", graphs._sequence_bytes(50, 100, later_ids))
+        assert make(50, 100) is not None
         with pytest.raises(ResourceLimitError, match="width-51 sequence"):
-            make(51, 60)
+            make(51, 100)
+        with pytest.raises(ResourceLimitError, match="width-50 sequence"):
+            make(50, 101)
+
+
+def test_long_sequences_are_refused_before_they_are_built():
+    # the later entries are estimated too: 10^7 entries of a 2-tree would
+    # take about 3.5 GB, and of a 100-tree tens of GB; the k_star family
+    # shares one set, so its entries cost the fixed part alone
+    for make in _WIDTH_K_MAKERS[:2]:
+        with pytest.raises(ResourceLimitError, match="width-2 sequence needs about 7999 MB"):
+            make(2, 10**7)
+        with pytest.raises(ResourceLimitError, match="width-100 sequence"):
+            make(100, 10**7)
+    with pytest.raises(ResourceLimitError, match="width-2 sequence needs about 4999 MB"):
+        _WIDTH_K_MAKERS[2](2, 10**7)
 
 
 def test_random_ktree_puts_back_the_callers_collector_state():
@@ -930,6 +982,41 @@ def test_elimination_arcs_skip_the_search_when_the_ids_eliminate():
         assert mcs.call_count == 1
     for x in (g, relabelled):
         _check_elimination_arcs(x)
+
+
+def _reference_elimination_arcs(g):
+    """(later, earlier) as a stable argsort of the later ids built them, in
+    id order, and a lexsort by later vertex and earlier rank otherwise."""
+    eu, ev = g.edge_arrays
+    if g.ids_eliminate:
+        arcs = np.argsort(ev, kind="stable")
+        return ev[arcs], eu[arcs]
+    rank = np.empty(g.n, dtype=np.int32)
+    rank[graphs._mcs_order(g.adj)] = np.arange(g.n, dtype=np.int32)
+    u_later = rank[eu] > rank[ev]
+    later, earlier = np.where(u_later, eu, ev), np.where(u_later, ev, eu)
+    arcs = np.lexsort((rank[earlier], later))
+    return later[arcs], earlier[arcs]
+
+
+def test_elimination_arcs_are_the_argsort_and_lexsort_arcs():
+    rng = random.Random(33)
+    cases = []
+    for k in (1, 2, 3):
+        for n in (5, 50, 2 * 10**4):
+            g = graphs.graph_from_construction(graphs.gen_random_ktree(k, n, seed=n))
+            cases += [g, _relabel(g, rng)]
+    for family, params in (("k_star", {"k": 3, "n": 40}), ("path", {"n": 30}),
+                           ("two_star_plus_star", {"n": 40, "ratio": Fraction(3, 4)})):
+        g = graphs.gen_named_family(family, params)[0]
+        cases += [g, _relabel(g, rng)]
+    assert {g.ids_eliminate for g in cases} == {True, False}
+    for g in cases:
+        later, earlier, depth = g.elimination_arcs
+        for a, b in zip((later, earlier), _reference_elimination_arcs(g)):
+            assert a.dtype == np.int32 and not a.flags.writeable
+            assert a.tobytes() == b.tobytes()
+        assert depth.dtype == np.int32 and not depth.flags.writeable
 
 
 def test_forests_whose_ids_do_not_eliminate_need_no_orientation():
