@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .graphs import component_roots, spanning_forest
+from .graphs import _check_vertex_count, component_roots, spanning_forest
 
 # beyond this size we stop maintaining the active-set bitmask: only the dp
 # rule reads it, and exact.DP_CAP, the subset DP's cap, is this one
@@ -56,6 +56,7 @@ class ActivationState:
 
     def __init__(self, graph, seq=None):
         n = graph.n
+        _check_vertex_count(seq, n)
         self.graph = graph
         self.active = bytearray(n)
         self.t = 0
@@ -65,8 +66,7 @@ class ActivationState:
         self._boundary = {}  # component root -> set of inactive neighbor ids
         self.active_mask = 0 if n <= _MASK_CAP else None
         if seq is not None:
-            if seq.n != n:
-                raise ValidationError("sequence and graph disagree on vertex count")
+            seq.validate()  # its attachment sets are read below
             self.wv = 0
             self._m_active = [0] * n  # active members of M_v, per vertex
             deps = [[] for _ in range(n)]

@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -33,16 +32,6 @@ EXIT_IO = 4
 # each until the estimate, stay under about 0.5 GB
 REPS_CAP = 10**7
 _SIZE_FLAGS = ("n", "k", "d", "side")  # the integer family parameters
-
-
-def _default_threads():
-    env = os.environ.get("STOPCC_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"STOPCC_THREADS must be an integer, got {env!r}") from None
-    return 1
 
 
 def _rational(value):
@@ -164,7 +153,7 @@ def _add_size_flags(sub):
 def _add_estimator_flags(sub):
     sub.add_argument("--reps", type=int, default=1000)
     sub.add_argument("--ci-level", type=float, default=0.99)
-    sub.add_argument("--threads", type=int, default=_default_threads(),
+    sub.add_argument("--threads", type=int, default=1,
                      help="accepted and checked (>= 1) but changes nothing: "
                           "replications run in index order on one thread")
 
@@ -403,6 +392,9 @@ def main(argv=None):
         return args.func(args)
     except ResourceLimitError as e:
         print(f"stopcc: resource cap exceeded: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("stopcc: resource cap exceeded: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as e:
         print(f"stopcc: I/O error: {e}", file=sys.stderr)

@@ -41,7 +41,8 @@ import numpy as np
 
 from . import strategies
 from .activation import _MASK_CAP, ActivationState
-from .errors import ParameterError, ResourceLimitError, ValidationError
+from .errors import ParameterError, ResourceLimitError
+from .graphs import _check_vertex_count
 
 # the dp rule reads ActivationState's active-set mask, kept up to this n
 DP_CAP = _MASK_CAP
@@ -404,8 +405,7 @@ def strategy_value(graph, seq, spec):
     W(S + v).  brute_force_strategy_value is its independent oracle."""
     n = graph.n
     _check_dp_caps(n, True)
-    if seq is not None and seq.n != n:
-        raise ValidationError("sequence and graph disagree on vertex count")
+    _check_vertex_count(seq, n)
     if n == 0:  # the empty set is full: no rule is asked
         return Fraction(0)
     rule = strategies.stop_flags(spec, n, seq)
@@ -427,8 +427,7 @@ def brute_force_strategy_value(graph, seq, spec):
         raise ResourceLimitError(
             f"permutation enumeration capped at n={PERM_CAP}, got n={n}"
         )
-    if seq is not None and seq.n != n:
-        raise ValidationError("sequence and graph disagree on vertex count")
+    _check_vertex_count(seq, n)
     weight = [math.factorial(n - t) for t in range(n + 1)]
     total = 0
     stack = [ActivationState(graph)]

@@ -593,6 +593,13 @@ def is_ktree(seq, g):
     return _are_edges(g.n, *g.edge_arrays, sets[:, a].ravel(), sets[:, b].ravel())
 
 
+def _check_vertex_count(seq, n):
+    """ValidationError if seq is given and has not the n vertices of the
+    graph it is paired with; its entries are not read."""
+    if seq is not None and seq.n != n:
+        raise ValidationError("sequence and graph disagree on vertex count")
+
+
 def ksystem_from_construction(seq):
     """The size-k entries of a sequence, viewed as an abstract k-system."""
     seq.validate()

@@ -28,7 +28,7 @@ class EstimatorConfig:
 
     threads is validated (>= 1) but selects nothing: replications always
     run in index order on one thread.  Scoring holds the interpreter lock
-    for most of its time, in Python steps (dp, greedy off chordal graphs) or
+    for most of its time, in Python steps (greedy off chordal graphs) or
     between short NumPy calls, and more threads ran slower.
     """
 

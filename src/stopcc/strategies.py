@@ -19,6 +19,7 @@ import numpy as np
 from .activation import (_MASK_CAP, ActivationState, check_permutation, component_count,
                          counts_from_merges, merge_counts, nbr_sum_trace)
 from .errors import ParameterError, UsageError, ValidationError
+from .graphs import _check_vertex_count
 
 CONTINUE = "continue"
 STOP = "stop"
@@ -240,8 +241,7 @@ def order_scorer(graph, seq, specs):
     kernel on each prefix; otherwise from component_count on each prefix.
     """
     n = graph.n
-    if seq is not None and seq.n != n:
-        raise ValidationError("sequence and graph disagree on vertex count")
+    _check_vertex_count(seq, n)
     steps = np.arange(1, n)
     positions, flagged, engine = [], [], []  # each kind's rules, by index in specs
     for i, spec in enumerate(specs):

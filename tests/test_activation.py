@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from stopcc import activation, exact, graphs
+from stopcc import activation, exact, graphs, strategies
 from stopcc.activation import (
     ActivationState,
     check_permutation,
@@ -80,6 +80,28 @@ def test_sequence_graph_mismatch_rejected():
     seq = graphs.gen_random_ktree(1, 5, seed=0)
     with pytest.raises(ValidationError):
         ActivationState(g, seq)
+
+
+def test_bad_sequence_contents_are_refused_before_a_play():
+    # entry 1 attaches to vertex 2, placed after it, or to 7, outside the
+    # graph: a play read both (counts 0, 1, 2, 1, or an IndexError)
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    short = Graph.from_edges(2, [(0, 1)])
+    rule = strategies.parse_strategy("twophase:alpha=1/2,gamma=1/2,trigger=initial_clique")
+    for member in (2, 7):
+        seq = graphs.ConstructionSequence(1, ((0, ()), (1, {member}), (2, {1})))
+        named = rf"entry 1: attachment references unplaced vertices \[{member}\]"
+        with pytest.raises(ValidationError, match=named):
+            ActivationState(g, seq)
+        with pytest.raises(ValidationError, match=named):
+            run_permutation(g, seq, [0, 1, 2])
+        # a wrong vertex count is named first, by each of its four callers
+        for call in (lambda: ActivationState(short, seq),
+                     lambda: strategies.order_scorer(short, seq, [rule]),
+                     lambda: exact.strategy_value(short, seq, rule),
+                     lambda: exact.brute_force_strategy_value(short, seq, rule)):
+            with pytest.raises(ValidationError, match="disagree on vertex count"):
+                call()
 
 
 def test_check_permutation():

@@ -249,6 +249,34 @@ def test_long_sequences_exit_resource_before_building():
     assert len(lines) == 2 and all(line.startswith("True") for line in lines), lines
 
 
+_OUT_OF_MEMORY = """
+import contextlib, io
+import stopcc.cli as cli
+
+for argv in (["concentration", "--family", "grid", "--d", 2, "--side", 20000,
+              "--alpha", "1/2", "--epsilon", 0, "--reps", 1],
+             ["run", "--family", "two_star_plus_star", "--n", 300000000, "--mode", "mc",
+              "--strategy", "blind:l=1", "--reps", 1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    text = err.getvalue()
+    print(code == cli.EXIT_RESOURCE and text.startswith("stopcc: resource cap exceeded")
+          and "Traceback" not in text, argv[:2])
+"""
+
+
+def test_out_of_memory_exits_resource_without_traceback():
+    # the named families have no up-front byte estimate: under the 2 GB
+    # address-space cap each command fails on one allocation of over 2 GB,
+    # so the child never grows, and exits 3 instead of with a traceback
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    lines = _python(_OUT_OF_MEMORY, preexec_fn=cap).splitlines()
+    assert len(lines) == 2 and all(line.startswith("True") for line in lines), lines
+
+
 def test_reps_cap_exits_usage_before_any_work(monkeypatch, capsys):
     def no_instance(*args):
         raise AssertionError("an instance was built above the cap")
@@ -847,13 +875,14 @@ def test_rules_are_checked_before_the_instance_is_built(capsys, tmp_path):
     assert code == cli.EXIT_USAGE and "unknown strategy" in err
 
 
-def test_thread_default_honors_environment(monkeypatch):
+def test_thread_default_ignores_environment(monkeypatch):
+    # no environment variable sets the thread count: the parser reads none
     argv = ["run", "--family", "path", "--n", "3", "--strategy", "greedy",
             "--mode", "mc"]
     monkeypatch.delenv("STOPCC_THREADS", raising=False)
     assert cli.build_parser().parse_args(argv).threads == 1
     monkeypatch.setenv("STOPCC_THREADS", "5")
-    assert cli.build_parser().parse_args(argv).threads == 5
+    assert cli.build_parser().parse_args(argv).threads == 1
 
 
 def test_zero_threads_exits_usage(capsys):
@@ -873,11 +902,30 @@ def test_concentration_empty_instance_exits_usage(tmp_path, capsys):
     assert err.startswith("stopcc:") and "vertex" in err
 
 
-def test_bad_thread_environment_exits_usage(monkeypatch, capsys):
+def test_bad_thread_environment_is_not_read(monkeypatch, capsys):
     monkeypatch.setenv("STOPCC_THREADS", "abc")
-    code, _, err = _run(capsys, "metagame", "mt-argmax", "--k", "2")
-    assert code == cli.EXIT_USAGE
-    assert err.startswith("stopcc:") and "STOPCC_THREADS" in err
+    for argv in (["metagame", "mt-argmax", "--k", "2"], ["metagame", "phi-max"],
+                 ["blind-scan", "--kind", "tree", "--n", "3"]):
+        code, _, err = _run(capsys, *argv)
+        assert code == 0 and err == "", argv
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--version"])
+    assert exit_.value.code == 0 and capsys.readouterr().out.strip() == cli.__version__
+    # a report echoes --threads alone
+    monkeypatch.setenv("STOPCC_THREADS", "7")
+    code, out, _ = _run(capsys, "run", "--family", "path", "--n", "5", "--strategy",
+                        "blind:l=2", "--mode", "mc", "--reps", "3")
+    assert code == 0 and json.loads(out)["config"]["threads"] == 1
+
+
+def test_scoring_a_family_reads_no_sequence_contents(capsys):
+    # the scorer checks a sequence's vertex count alone: a named family's
+    # sequence, built by its generator, is never validated entry by entry
+    with mock.patch.object(graphs, "_attachments", wraps=graphs._attachments) as spy:
+        code, _, _ = _run(capsys, "run", "--family", "random_tree", "--n", "1000",
+                          "--mode", "mc", "--reps", "2", "--strategy", "greedy",
+                          "--strategy", "twophase:alpha=1/4,gamma=1/2,trigger=initial_clique")
+    assert code == 0 and not spy.called
 
 
 def test_chordal_instances_in_id_order_need_no_spanning_tree(capsys):
